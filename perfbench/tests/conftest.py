@@ -1,0 +1,12 @@
+"""Put the repository root and its src/ on sys.path for these tests.
+
+Run them from the repository root with ``python3 -m pytest perfbench/tests``.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
