@@ -42,6 +42,7 @@ from dataclasses import dataclass, field, replace
 
 from . import codec, protocol
 from .client import Client, ClientConfig, ClientError, MODE_REMOTE
+from .gfec import code_fits
 from .miniobj import ObjectPolicy, ObjectStore, StoreError
 from .server import Server, ServerConfig, default_registry
 
@@ -163,9 +164,7 @@ class BenchSpec:
             raise InvalidSpec("zero_fraction must be within [0, 1]")
         if self.transform == "compress" and self.codec_id not in _CODEC_NAME_BY_ID:
             raise InvalidSpec(f"unknown codec id {self.codec_id}")
-        if self.transform == "ec" and not (
-            self.k >= 1 and self.m >= 0 and self.k + self.m <= 32
-        ):
+        if self.transform == "ec" and not code_fits(self.k, self.m):
             raise InvalidSpec(f"invalid ec parameters k={self.k} m={self.m}")
 
     def to_dict(self) -> dict:
@@ -327,13 +326,17 @@ def _object_name(spec: BenchSpec, rng: random.Random, index: int) -> str:
     return f"seq-{index}"
 
 
-def _do_put(
-    store: ObjectStore, policy: ObjectPolicy, spec: BenchSpec, index: int
-) -> int:
-    """One benchmark operation; returns the bytes stored for it."""
+def _op_input(spec: BenchSpec, index: int) -> tuple[str, bytes]:
+    """The object name and block of operation `index`, reproducibly."""
     rng = random.Random(_op_seed(spec.seed, index))
     name = _object_name(spec, rng, index)
-    block = _fill_block(rng, spec.block_size, spec.zero_fraction)
+    return name, _fill_block(rng, spec.block_size, spec.zero_fraction)
+
+
+def _do_put(
+    store: ObjectStore, policy: ObjectPolicy, name: str, block: bytes
+) -> int:
+    """One benchmark operation; returns the bytes stored for it."""
     manifest = store.put(name, block, policy)
     return sum(p.length for p in manifest.placements)
 
@@ -467,7 +470,7 @@ def _run_sim(spec: BenchSpec) -> BenchReport:
     end = 0.0
     while heap:
         issue_time, index = heapq.heappop(heap)
-        stored = _do_put(store, policy, spec, index)
+        stored = _do_put(store, policy, *_op_input(spec, index))
         ready = issue_time + overhead_s
         if spec.mode == MODE_COMPRESSOR:
             done = local_pool.run(ready, service_s(spec.block_size))
@@ -535,9 +538,10 @@ def _run_tcp(spec: BenchSpec) -> BenchReport:
                         return
                     if deadline is not None and time.perf_counter() >= deadline:
                         return
+                    name, block = _op_input(spec, index)
                     begin = time.perf_counter()
                     try:
-                        _do_put(store, policy, spec, index)
+                        _do_put(store, policy, name, block)
                     except (StoreError, ClientError):
                         errors[slot] += 1
                     else:

@@ -1,28 +1,28 @@
-"""Client SDK: per-call Instances, a bounded submit queue, a messenger.
+"""Client SDK: per-call Instances sent from the caller's own thread.
 
 The caller-facing half of the offload path:
 
-    caller ──submit──▶ [queue] ──messenger──▶ transport ──▶ server
-                         │                                    │
-    caller ◀─await── Instance ◀───reader──── transport ◀──────┘
+    caller ──submit──▶ request frame ──send──▶ transport ──▶ server
+                                                             │
+    caller ◀─await── Instance ◀───reader──── transport ◀─────┘
 
-`submit` returns an Instance immediately; the messenger thread assigns
-monotonically increasing correlation ids, serializes request frames
-onto the single connection (pipelined — many requests may be in flight
-at once), and a reader thread pairs each response to its Instance by
+`submit` assigns the call a correlation id, builds its request frame
+and writes it onto the single connection under a send lock before
+returning the Instance, so many requests may be in flight at once
+(pipelined).  One reader thread pairs each response to its Instance by
 correlation id, regardless of arrival order.
 
 Two execution modes share one API.  Remote mode sends frames through a
-Transport (TCP, or the in-memory loopback below).  In-process mode —
-the monolithic baseline — skips the wire entirely and hands the very
-same request frame to the very same `server.dispatch` used remotely,
-so any behavioral difference between the modes is a bug, not a mode
-property.
+Transport (TCP, or a test double).  In-process mode — the monolithic
+baseline — skips the wire entirely and hands the very same request
+frame to the very same `server.dispatch` used remotely, so any
+behavioral difference between the modes is a bug, not a mode property.
 
 Both the clock and the transport are injectable, which keeps timeout
 logic and network behavior testable without real sleeping or sockets.
 
-Failure policy: the submit queue is bounded — a full queue raises
+Failure policy: at most `max_queue_depth` calls may be in submit at
+once — building and sending their frames — and one more raises
 Backpressure instead of blocking.  A response that arrives after its
 Instance timed out is discarded.  A transport failure fails every
 in-flight Instance with TransportError; the client does not reconnect
@@ -33,12 +33,9 @@ settings, failover is out of scope).
 from __future__ import annotations
 
 import itertools
-import queue
-import random
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -52,7 +49,7 @@ class ClientError(Exception):
 
 
 class Backpressure(ClientError):
-    """Submit queue is full; retry after draining some requests."""
+    """max_queue_depth calls are already being sent; retry once one returns."""
 
 
 class ClientClosed(ClientError):
@@ -154,71 +151,10 @@ class TcpTransport(Transport):
         self._sock.close()
 
 
-class LoopbackTransport(Transport):
-    """In-memory server: frames in, dispatched responses out.
-
-    Knobs for tests: `latency_ms` delays each response; `jitter_ms`
-    adds a seeded random extra delay (with several workers this
-    reorders responses); `send_gate`, when given, blocks send() until
-    the event is set; `response_gate` holds all responses until set;
-    `drop_all` swallows requests entirely.
-    """
-
-    def __init__(
-        self,
-        registry: dict[int, Handler] | None = None,
-        *,
-        latency_ms: float = 0.0,
-        jitter_ms: float = 0.0,
-        seed: int = 0,
-        workers: int = 2,
-        send_gate: threading.Event | None = None,
-        response_gate: threading.Event | None = None,
-        drop_all: bool = False,
-    ):
-        self._registry = registry if registry is not None else default_registry()
-        self._latency = latency_ms / 1000.0
-        self._jitter = jitter_ms / 1000.0
-        self._rng = random.Random(seed)
-        self._send_gate = send_gate
-        self._response_gate = response_gate
-        self._drop_all = drop_all
-        self._decoder = FrameDecoder()
-        self._out: queue.SimpleQueue[bytes] = queue.SimpleQueue()
-        self._pool = ThreadPoolExecutor(max_workers=workers)
-        self._closed = False
-
-    def send(self, data: bytes) -> None:
-        if self._send_gate is not None:
-            self._send_gate.wait()
-        if self._closed:
-            raise OSError("transport closed")
-        self._decoder.feed(data)
-        while (frame := self._decoder.next_frame()) is not None:
-            if not self._drop_all:
-                delay = self._latency + self._rng.uniform(0, self._jitter)
-                self._pool.submit(self._serve, frame, delay)
-
-    def _serve(self, frame: Frame, delay: float) -> None:
-        if delay:
-            time.sleep(delay)
-        if self._response_gate is not None:
-            self._response_gate.wait()
-        response = dispatch(frame, self._registry)
-        if not self._closed:
-            self._out.put(protocol.encode_frame(response))
-
-    def recv(self) -> bytes:
-        return self._out.get()
-
-    def close(self) -> None:
-        self._closed = True
-        self._pool.shutdown(wait=False)
-        self._out.put(b"")
-
-
 MODE_REMOTE = "remote"
 MODE_IN_PROCESS = "in-process"
+
+_U32_MAX = 0xFFFFFFFF
 
 
 @dataclass
@@ -255,8 +191,8 @@ _TERMINAL = {InstanceState.COMPLETED, InstanceState.FAILED, InstanceState.TIMED_
 class Instance:
     """Handle for one submitted call.
 
-    Created queued; the messenger moves it to sent; exactly one of
-    completed/failed/timed-out ends it, and the result slot (payload or
+    Created queued; submit moves it to sent before returning it;
+    exactly one of completed/failed/timed-out ends it, and the result slot (payload or
     error) is written at most once.  await_result blocks only its
     caller and is idempotent once terminal.
     """
@@ -335,9 +271,10 @@ class Instance:
 class Client:
     """One connection's worth of pipelined function calls.
 
-    Remote mode spins up two daemon threads (messenger out, reader in);
-    in-process mode has none and executes during submit.  Thread-safe:
-    submit/call may run from many threads at once.
+    Remote mode runs one daemon thread, the response reader; submit
+    builds and sends each request on the caller's own thread.
+    In-process mode has no thread and executes during submit.
+    Thread-safe: submit/call may run from many threads at once.
     """
 
     def __init__(
@@ -355,11 +292,8 @@ class Client:
         self._closed = threading.Event()
         self._pending: dict[int, Instance] = {}
         self._pending_lock = threading.Lock()
+        self._send_lock = threading.Lock()
         self._transport: Transport | None = None
-        self._sendq: queue.SimpleQueue[tuple[Instance, Frame] | None] = (
-            queue.SimpleQueue()
-        )
-        self._messenger: threading.Thread | None = None
         self._reader: threading.Thread | None = None
 
         if config.mode == MODE_IN_PROCESS:
@@ -367,13 +301,9 @@ class Client:
             return
         self._registry = {}
         self._transport = transport or self._connect()
-        self._messenger = threading.Thread(
-            target=self._send_loop, name="msfm-messenger", daemon=True
-        )
         self._reader = threading.Thread(
             target=self._recv_loop, name="msfm-reader", daemon=True
         )
-        self._messenger.start()
         self._reader.start()
 
     def _connect(self) -> Transport:
@@ -398,32 +328,40 @@ class Client:
         params: protocol.FunctionParams | bytes,
         payload: bytes = b"",
     ) -> Instance:
-        """Queue one call; returns its Instance without waiting.
+        """Send one call; returns its Instance without awaiting the response.
+
+        The request frame is built and written on the calling thread;
+        in-process mode executes the call before returning.
 
         Raises:
-            Backpressure: max_queue_depth requests are already queued
-                or being sent.
+            Backpressure: max_queue_depth calls are already being
+                built or sent.
             ClientClosed: close() was called or the connection died.
+            ValueError: The request cannot be encoded as a frame (for
+                example a function id beyond u16); nothing was sent.
         """
         if self._closed.is_set():
             raise ClientClosed("client is closed")
         if not self._slots.acquire(blocking=False):
             raise Backpressure(
-                f"submit queue full ({self.config.max_queue_depth} deep)"
+                f"{self.config.max_queue_depth} calls already being sent"
             )
         try:
             instance = Instance(self, function_id)
-            frame = protocol.request(function_id, 0, params, payload)
-        except BaseException:
+            # Correlation ids run 1 .. 2^32 - 1 and wrap back to 1: they
+            # must fit the u32 header field, and 0 is the id the server
+            # answers an undecodable frame with.
+            correlation_id = (next(self._ids) - 1) % _U32_MAX + 1
+            frame = protocol.request(function_id, correlation_id, params, payload)
+            instance._mark_sent(correlation_id)
+            if self.config.mode == MODE_IN_PROCESS:
+                self._deliver(instance, dispatch(frame, self._registry))
+            else:
+                self._send(instance, frame)
+        finally:
+            # The slot is held through serialization so that
+            # max_queue_depth bounds client-side buffering.
             self._slots.release()
-            raise
-        if self.config.mode == MODE_IN_PROCESS:
-            try:
-                self._execute_local(instance, frame)
-            finally:
-                self._slots.release()
-        else:
-            self._sendq.put((instance, frame))
         return instance
 
     def await_result(
@@ -447,15 +385,11 @@ class Client:
             return
         self._closed.set()
         if self.config.mode == MODE_REMOTE:
-            # Drain before planting the stop sentinel so the drain
-            # cannot eat the sentinel out from under the messenger.
             self._fail_all(ClientClosed("client closed"))
-            self._sendq.put(None)
-            assert self._transport is not None
+            assert self._transport is not None and self._reader is not None
             self._transport.close()
-            for thread in (self._messenger, self._reader):
-                if thread is not None and thread is not threading.current_thread():
-                    thread.join(timeout=5)
+            if self._reader is not threading.current_thread():
+                self._reader.join(timeout=5)
 
     def __enter__(self) -> "Client":
         return self
@@ -463,51 +397,18 @@ class Client:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    # --- in-process path ------------------------------------------------------
-
-    def _execute_local(self, instance: Instance, frame: Frame) -> None:
-        correlation_id = next(self._ids)
-        frame = protocol.Frame(
-            kind=frame.kind,
-            status=frame.status,
-            function_id=frame.function_id,
-            correlation_id=correlation_id,
-            params=frame.params,
-            payload=frame.payload,
-        )
-        instance._mark_sent(correlation_id)
-        self._deliver(instance, dispatch(frame, self._registry))
-
     # --- remote path -----------------------------------------------------------
 
-    def _send_loop(self) -> None:
+    def _send(self, instance: Instance, frame: Frame) -> None:
         assert self._transport is not None
-        while True:
-            item = self._sendq.get()
-            if item is None:
-                return
-            instance, frame = item
-            correlation_id = next(self._ids)
-            frame = protocol.Frame(
-                kind=frame.kind,
-                status=frame.status,
-                function_id=frame.function_id,
-                correlation_id=correlation_id,
-                params=frame.params,
-                payload=frame.payload,
-            )
-            with self._pending_lock:
-                self._pending[correlation_id] = instance
-            instance._mark_sent(correlation_id)
-            try:
-                self._transport.send(protocol.encode_frame(frame))
-            except OSError as exc:
-                self._transport_failed(f"send failed: {exc}")
-                return
-            finally:
-                # The queue slot is held through serialization so that
-                # max_queue_depth bounds client-side buffering.
-                self._slots.release()
+        data = protocol.encode_frame(frame)
+        with self._pending_lock:
+            self._pending[frame.correlation_id] = instance
+        try:
+            with self._send_lock:
+                self._transport.send(data)
+        except OSError as exc:
+            self._transport_failed(f"send failed: {exc}")
 
     def _recv_loop(self) -> None:
         assert self._transport is not None
@@ -548,14 +449,6 @@ class Client:
         self._fail_all(TransportError(detail))
 
     def _fail_all(self, error: ClientError) -> None:
-        while True:
-            try:
-                item = self._sendq.get_nowait()
-            except queue.Empty:
-                break
-            if item is not None:
-                item[0]._finish(InstanceState.FAILED, error=error)
-                self._slots.release()
         with self._pending_lock:
             pending = list(self._pending.values())
             self._pending.clear()

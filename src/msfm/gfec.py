@@ -83,12 +83,20 @@ class TooFewShards(EcError):
     """Fewer than k shards present; the data is unrecoverable."""
 
 
+def code_fits(k: int, m: int) -> bool:
+    """Whether k data plus m parity shards form a supported code.
+
+    Bounds: 1 <= k, 0 <= m, k + m <= 32, so that a present-set fits a
+    32-bit bitmap.  Every layer that accepts k and m checks them here.
+    """
+    return 1 <= k and 0 <= m and k + m <= 32
+
+
 @dataclass(frozen=True)
 class EcProfile:
     """Code parameters: k data shards, m parity shards, bytes per shard.
 
-    Bounds: 1 <= k, 0 <= m, k + m <= 32 (so a present-set fits a 32-bit
-    bitmap), shard_size >= 1.
+    Bounds: `code_fits(k, m)` and shard_size >= 1.
     """
 
     k: int
@@ -96,7 +104,7 @@ class EcProfile:
     shard_size: int
 
     def __post_init__(self) -> None:
-        if not (1 <= self.k and 0 <= self.m and self.k + self.m <= 32):
+        if not code_fits(self.k, self.m):
             raise InvalidProfile(f"invalid k={self.k} m={self.m}")
         if self.shard_size < 1:
             raise InvalidProfile(f"invalid shard_size={self.shard_size}")
@@ -140,9 +148,9 @@ def build_matrix(k: int, m: int) -> list[list[int]]:
         row k+i has entries gf_inv((k+i) XOR j) for column j.
 
     Raises:
-        InvalidProfile: Bounds 1 <= k, 0 <= m, k + m <= 32 violated.
+        InvalidProfile: `code_fits(k, m)` does not hold.
     """
-    if not (1 <= k and 0 <= m and k + m <= 32):
+    if not code_fits(k, m):
         raise InvalidProfile(f"invalid k={k} m={m}")
     rows = [[1 if c == r else 0 for c in range(k)] for r in range(k)]
     for i in range(m):

@@ -37,6 +37,7 @@ from pathlib import Path
 
 from . import codec as codec_mod
 from .client import Client, ClientConfig
+from .gfec import code_fits
 from .protocol import CompressParams, EcDecodeParams, EcEncodeParams, FunctionId
 
 MANIFEST_VERSION = 1
@@ -79,9 +80,7 @@ class ObjectPolicy:
     def __post_init__(self) -> None:
         if self.transform not in (TRANSFORM_NONE, TRANSFORM_COMPRESS, TRANSFORM_EC):
             raise ValueError(f"unknown transform {self.transform!r}")
-        if self.transform == TRANSFORM_EC and not (
-            self.k >= 1 and self.m >= 0 and self.k + self.m <= 32
-        ):
+        if self.transform == TRANSFORM_EC and not code_fits(self.k, self.m):
             raise ValueError(f"invalid ec parameters k={self.k} m={self.m}")
 
     @staticmethod

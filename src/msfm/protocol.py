@@ -40,6 +40,8 @@ import zlib
 from dataclasses import dataclass, field
 from enum import IntEnum
 
+from .gfec import code_fits
+
 MAGIC = b"MSFM"
 VERSION = 1
 
@@ -324,7 +326,7 @@ _EC_DECODE = struct.Struct("<BBII")
 
 
 def _check_ec_bounds(k: int, m: int) -> None:
-    if not (1 <= k and 0 <= m and k + m <= 32):
+    if not code_fits(k, m):
         raise MalformedParams(f"invalid code parameters k={k} m={m}")
 
 

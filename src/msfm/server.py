@@ -30,7 +30,7 @@ import signal
 import socket
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -163,7 +163,8 @@ class Server:
 
     Use as a context manager or call start()/stop().  stop() drains:
     requests already admitted finish and their responses are flushed
-    before sockets close.
+    before sockets close; a request that arrives while a connection
+    drains is answered with ServerBusy.
     """
 
     def __init__(self, config: ServerConfig, registry: dict[int, Handler]):
@@ -266,8 +267,6 @@ class _Connection:
         self._sock = sock
         self._write_lock = threading.Lock()
         self._inflight = threading.Semaphore(server.config.max_inflight)
-        self._pending: set[Future] = set()
-        self._pending_lock = threading.Lock()
         self._reader: threading.Thread | None = None
         self._closed = threading.Event()
 
@@ -304,10 +303,7 @@ class _Connection:
             self._write(busy)
             return
         assert self._server._pool is not None
-        future = self._server._pool.submit(self._process, frame)
-        with self._pending_lock:
-            self._pending.add(future)
-        future.add_done_callback(self._discard_future)
+        self._server._pool.submit(self._process, frame)
 
     def _process(self, frame: Frame) -> None:
         try:
@@ -335,17 +331,16 @@ class _Connection:
         )
         self._write(error)
 
-    def _discard_future(self, future: Future) -> None:
-        with self._pending_lock:
-            self._pending.discard(future)
-
     def drain_and_close(self) -> None:
-        """Wait for admitted requests to answer, then close the socket."""
+        """Wait for admitted requests to answer, then close the socket.
+
+        Every admitted request holds one in-flight permit until its
+        response is written, so holding all of them means none is left;
+        a frame read meanwhile is answered with ServerBusy.
+        """
         self._closed.set()
-        with self._pending_lock:
-            pending = list(self._pending)
-        for future in pending:
-            future.exception()  # waits; handler errors already became frames
+        for _ in range(self._server.config.max_inflight):
+            self._inflight.acquire()
         self._shutdown_socket()
         if self._reader is not None and self._reader is not threading.current_thread():
             self._reader.join(timeout=5)

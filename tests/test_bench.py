@@ -8,6 +8,7 @@ asserted against fixed targets — only shapes and relationships.
 
 import json
 import math
+import time
 from dataclasses import replace
 
 import pytest
@@ -334,6 +335,19 @@ def test_tcp_transport_round_trip():
         assert report.raw_bytes == 48 * 4096
         assert report.elapsed_s > 0
     assert inst.stored_bytes == comp.stored_bytes
+
+
+def test_tcp_latency_excludes_block_generation(monkeypatch):
+    fill_block = bench._fill_block
+
+    def slow_fill_block(*args):
+        time.sleep(0.02)
+        return fill_block(*args)
+
+    monkeypatch.setattr(bench, "_fill_block", slow_fill_block)
+    report = bench._run_tcp(BenchSpec(block_size=4096, ops=5, transport="tcp", seed=3))
+    assert report.completed == 5
+    assert report.lat_p50_us < 20_000
 
 
 # ---------------------------------------------------------------------------

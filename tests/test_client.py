@@ -1,11 +1,14 @@
 """Client SDK tests: both execution modes, pipelining, timeouts, failure paths."""
 
+import itertools
 import random
+import sys
 import threading
 import time
 
 import pytest
 
+from loopback import LoopbackTransport
 from msfm import codec, gfec, protocol
 from msfm.client import (
     Backpressure,
@@ -16,7 +19,6 @@ from msfm.client import (
     FunctionFailed,
     Instance,
     InstanceState,
-    LoopbackTransport,
     TimedOut,
     TransportError,
     UnsupportedFunction,
@@ -128,11 +130,20 @@ def test_backpressure_when_queue_full():
     gate = threading.Event()
     transport = LoopbackTransport(send_gate=gate)
     client = loopback_client(transport=transport, max_queue_depth=1)
-    first = client.submit(FunctionId.COMPRESS, CompressParams(1), b"a" * 100)
+    results = []
+    first = threading.Thread(
+        target=lambda: results.append(
+            client.call(FunctionId.COMPRESS, CompressParams(1), b"a" * 100, 2000)
+        )
+    )
+    first.start()
+    assert transport.send_entered.wait(5)  # the first call holds the only slot
     with pytest.raises(Backpressure):
         client.submit(FunctionId.COMPRESS, CompressParams(1), b"b" * 100)
-    gate.set()  # unblock the messenger, then the call completes normally
-    assert codec.decompress(first.await_result(2000)) == b"a" * 100
+    gate.set()  # unblock the first send, then that call completes normally
+    first.join(5)
+    assert not first.is_alive()
+    assert [codec.decompress(block) for block in results] == [b"a" * 100]
     client.close()
 
 
@@ -186,7 +197,6 @@ def test_transport_failure_fails_pending_instances():
     transport = LoopbackTransport(drop_all=True)
     client = loopback_client(transport=transport)
     instance = client.submit(FunctionId.COMPRESS, CompressParams(1), b"x")
-    time.sleep(0.05)  # let the messenger send it
     transport.close()  # server goes away
     with pytest.raises(TransportError):
         instance.await_result(2000)
@@ -234,6 +244,39 @@ def test_concurrent_callers_pair_correctly():
     client.close()
 
 
+def test_remote_client_runs_only_the_reader_thread():
+    before = set(threading.enumerate())
+    with loopback_client() as client:
+        for n in range(8):
+            block = client.call(FunctionId.COMPRESS, CompressParams(1), bytes([n]) * 64)
+            assert codec.decompress(block) == bytes([n]) * 64
+        started = set(threading.enumerate()) - before
+        names = [t.name for t in started if not t.name.startswith("loopback")]
+        assert names == ["msfm-reader"]
+
+
+@pytest.mark.parametrize("mode", ["in-process", "remote"])
+def test_correlation_ids_wrap_past_u32_and_skip_zero(mode):
+    client = in_process_client() if mode == "in-process" else loopback_client()
+    with client:
+        client._ids = itertools.count((1 << 32) - 2)  # two calls below the wrap
+        seen = []
+        for n in range(3):
+            data = bytes([n]) * 32
+            instance = client.submit(FunctionId.COMPRESS, CompressParams(1), data)
+            assert codec.decompress(instance.await_result(2000)) == data
+            seen.append(instance.correlation_id)
+        assert seen == [(1 << 32) - 2, (1 << 32) - 1, 1]
+
+
+def test_unencodable_request_fails_alone():
+    with loopback_client() as client:
+        with pytest.raises(ValueError):
+            client.submit(1 << 16, b"")  # function_id does not fit u16
+        block = client.call(FunctionId.COMPRESS, CompressParams(1), b"still works")
+        assert codec.decompress(block) == b"still works"
+
+
 # --- remote mode against the real TCP server ----------------------------------
 
 def test_tcp_client_against_live_server():
@@ -245,6 +288,41 @@ def test_tcp_client_against_live_server():
             assert codec.decompress(block) == data
             with in_process_client() as local:
                 assert block == local.call(FunctionId.COMPRESS, CompressParams(2), data)
+
+
+def test_tcp_concurrent_senders_keep_frames_whole():
+    errors = []
+    ids = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(3):
+                # Large enough that sendall makes partial writes, which
+                # interleave unless sends are serialized.
+                data = rng.randbytes(64) + bytes(4 << 20)
+                instance = client.submit(FunctionId.COMPRESS, CompressParams(1), data)
+                assert codec.decompress(instance.await_result(10_000)) == data
+                ids.append(instance.correlation_id)
+        except Exception as exc:  # noqa: BLE001 — collected for the assert below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with Server(ServerConfig(), default_registry()) as server:
+            config = ClientConfig(mode="remote", address=server.address)
+            with Client(config) as client:
+                threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(30)
+                assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert sorted(ids) == list(range(1, 13))
 
 
 def test_tcp_connect_failure_raises_transport_error():

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msfm import gfec
+from msfm.bench import BenchSpec, InvalidSpec
 from msfm.gfec import (
     EcProfile,
     InvalidLength,
@@ -25,6 +26,8 @@ from msfm.gfec import (
     gf_inv,
     gf_mul,
 )
+from msfm.miniobj import ObjectPolicy
+from msfm.protocol import EcEncodeParams, MalformedParams, encode_params
 
 PROFILE_GRID = [(1, 0), (1, 1), (2, 1), (4, 2), (6, 3), (10, 4)]
 
@@ -246,3 +249,29 @@ def test_profile_bounds():
         EcProfile(30, 3, 16)
     with pytest.raises(InvalidProfile):
         EcProfile(4, 2, 0)
+
+
+def _accepts(build, error) -> bool:
+    try:
+        build()
+    except error:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "k, m, fits",
+    [(0, 0, False), (1, -1, False), (1, 31, True), (16, 16, True), (17, 16, False)],
+)
+def test_every_layer_applies_the_same_code_bounds(k, m, fits):
+    sites = {
+        "protocol": (lambda: encode_params(EcEncodeParams(k, m)), MalformedParams),
+        "EcProfile": (lambda: EcProfile(k, m, 1), InvalidProfile),
+        "build_matrix": (lambda: build_matrix(k, m), InvalidProfile),
+        "ObjectPolicy": (lambda: ObjectPolicy.ec(k, m), ValueError),
+        "BenchSpec": (lambda: BenchSpec(transform="ec", k=k, m=m, ops=1), InvalidSpec),
+    }
+    assert gfec.code_fits(k, m) is fits
+    assert {name: _accepts(*site) for name, site in sites.items()} == {
+        name: fits for name in sites
+    }

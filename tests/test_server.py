@@ -320,6 +320,33 @@ def test_busy_when_inflight_limit_exceeded():
         client.close()
 
 
+def test_stop_flushes_admitted_requests_before_closing():
+    started = threading.Event()
+    release = threading.Event()
+
+    def stalling_handler(params, payload):
+        started.set()
+        release.wait(10)
+        return b"done"
+
+    server = Server(ServerConfig(), {1: stalling_handler}).start()
+    client = RawClient(server.address)
+    client.send(req(1, 1, b"\x01"))
+    assert started.wait(5)
+    stopper = threading.Thread(target=server.stop)
+    stopper.start()
+    stopper.join(0.5)
+    assert stopper.is_alive(), "stop() returned while a request was in flight"
+    release.set()
+    stopper.join(5)
+    assert not stopper.is_alive()
+    responses = client.recv_until_closed()
+    assert [(r.correlation_id, r.status, r.payload) for r in responses] == [
+        (1, Status.OK, b"done")
+    ]
+    client.close()
+
+
 def test_many_concurrent_connections():
     with Server(ServerConfig(workers=8), REGISTRY) as server:
         results = []
