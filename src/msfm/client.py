@@ -178,32 +178,28 @@ class ClientConfig:
 
 
 class InstanceState(Enum):
-    QUEUED = "queued"
     SENT = "sent"
     COMPLETED = "completed"
     FAILED = "failed"
     TIMED_OUT = "timed-out"
 
 
-_TERMINAL = {InstanceState.COMPLETED, InstanceState.FAILED, InstanceState.TIMED_OUT}
-
-
 class Instance:
     """Handle for one submitted call.
 
-    Created queued; submit moves it to sent before returning it;
-    exactly one of completed/failed/timed-out ends it, and the result slot (payload or
+    Created sent, once its request frame is built; exactly one of
+    completed/failed/timed-out ends it, and the result slot (payload or
     error) is written at most once.  await_result blocks only its
     caller and is idempotent once terminal.
     """
 
-    def __init__(self, client: "Client", function_id: int):
+    def __init__(self, client: "Client", function_id: int, correlation_id: int):
         self.function_id = function_id
-        self.correlation_id: int | None = None
+        self.correlation_id = correlation_id
         self.submitted_at = client._clock.now()
         self._client = client
         self._lock = threading.Lock()
-        self._state = InstanceState.QUEUED
+        self._state = InstanceState.SENT
         self._done = threading.Event()
         self._payload: bytes | None = None
         self._error: ClientError | None = None
@@ -218,12 +214,6 @@ class Instance:
             f"{self._state.value}>"
         )
 
-    def _mark_sent(self, correlation_id: int) -> None:
-        with self._lock:
-            if self._state is InstanceState.QUEUED:
-                self.correlation_id = correlation_id
-                self._state = InstanceState.SENT
-
     def _finish(
         self,
         state: InstanceState,
@@ -232,7 +222,7 @@ class Instance:
     ) -> bool:
         """Move to a terminal state; False if one was already reached."""
         with self._lock:
-            if self._state in _TERMINAL:
+            if self._state is not InstanceState.SENT:
                 return False
             self._state = state
             self._payload = payload
@@ -338,7 +328,8 @@ class Client:
                 built or sent.
             ClientClosed: close() was called or the connection died.
             ValueError: The request cannot be encoded as a frame (for
-                example a function id beyond u16); nothing was sent.
+                example a function id beyond u16), in either mode;
+                nothing was sent or run.
         """
         if self._closed.is_set():
             raise ClientClosed("client is closed")
@@ -347,13 +338,12 @@ class Client:
                 f"{self.config.max_queue_depth} calls already being sent"
             )
         try:
-            instance = Instance(self, function_id)
             # Correlation ids run 1 .. 2^32 - 1 and wrap back to 1: they
             # must fit the u32 header field, and 0 is the id the server
             # answers an undecodable frame with.
             correlation_id = (next(self._ids) - 1) % _U32_MAX + 1
             frame = protocol.request(function_id, correlation_id, params, payload)
-            instance._mark_sent(correlation_id)
+            instance = Instance(self, function_id, correlation_id)
             if self.config.mode == MODE_IN_PROCESS:
                 self._deliver(instance, dispatch(frame, self._registry))
             else:
@@ -363,11 +353,6 @@ class Client:
             # max_queue_depth bounds client-side buffering.
             self._slots.release()
         return instance
-
-    def await_result(
-        self, instance: Instance, timeout_ms: float | None = None
-    ) -> bytes:
-        return instance.await_result(timeout_ms)
 
     def call(
         self,
@@ -456,7 +441,5 @@ class Client:
             instance._finish(InstanceState.FAILED, error=error)
 
     def _forget(self, instance: Instance) -> None:
-        if instance.correlation_id is None:
-            return
         with self._pending_lock:
             self._pending.pop(instance.correlation_id, None)

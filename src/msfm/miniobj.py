@@ -38,7 +38,13 @@ from pathlib import Path
 from . import codec as codec_mod
 from .client import Client, ClientConfig
 from .gfec import code_fits
-from .protocol import CompressParams, EcDecodeParams, EcEncodeParams, FunctionId
+from .protocol import (
+    CompressParams,
+    DecompressParams,
+    EcDecodeParams,
+    EcEncodeParams,
+    FunctionId,
+)
 
 MANIFEST_VERSION = 1
 
@@ -375,7 +381,7 @@ class ObjectStore:
         if kind == TRANSFORM_COMPRESS:
             return client.call(
                 FunctionId.DECOMPRESS,
-                CompressParams(manifest.transform["codec_id"]),
+                DecompressParams(manifest.transform["codec_id"]),
                 blob,
             )
         return blob

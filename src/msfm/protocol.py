@@ -23,21 +23,16 @@ final XOR 0xFFFFFFFF; i.e. `zlib.crc32`) computed over the entire
 encoded frame, header included, with the four checksum bytes zeroed.
 
 Function parameters (the `params` field of requests) use a fixed layout
-per function_id:
-
-    1 compress     codec_id:u8
-    2 decompress   codec_id:u8
-    3 ec_encode    k:u8 m:u8
-    4 ec_decode    k:u8 m:u8 shard_size:u32 present_bitmap:u32
-
-See docs/wire.md for golden vectors.
+per function_id, given once in PARAMS_LAYOUTS and tabled in
+docs/wire.md, which also has golden vectors.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass, fields
 from enum import IntEnum
 
 from .gfec import code_fits
@@ -48,9 +43,12 @@ VERSION = 1
 KIND_REQUEST = 1
 KIND_RESPONSE = 2
 
-# magic, version, kind, status, function_id, correlation_id,
-# params_len, payload_len, checksum
 _HEADER = struct.Struct("<4sBBBHIIII")
+_Header = namedtuple(
+    "_Header",
+    "magic version kind status function_id correlation_id"
+    " params_len payload_len checksum",
+)
 HEADER_SIZE = _HEADER.size
 assert HEADER_SIZE == 25
 
@@ -110,8 +108,8 @@ class MalformedParams(ProtocolError):
 class Frame:
     """One decoded wire frame.
 
-    `magic`, `params_len`, `payload_len` and `checksum` are not stored:
-    they are fixed or derived, and recomputed on encode.
+    `magic`, `version`, `params_len`, `payload_len` and `checksum` are
+    not stored: they are fixed or derived, and recomputed on encode.
     """
 
     kind: int
@@ -120,35 +118,14 @@ class Frame:
     correlation_id: int
     params: bytes = b""
     payload: bytes = b""
-    version: int = VERSION
 
 
-def _check_u8(name: str, value: int) -> None:
-    if not 0 <= value <= 0xFF:
-        raise ValueError(f"{name} out of range for u8: {value}")
-
-
-def encode_frame(frame: Frame) -> bytes:
-    """Serialize a frame to bytes.
-
-    Args:
-        frame: Frame whose invariants hold (kind 1 or 2, version 1,
-            all integer fields within their wire widths).
-
-    Returns:
-        The 25-byte header followed by params and payload, with the
-        CRC-32 checksum filled in.
-
-    Raises:
-        ValueError: An integer field is out of range for its width,
-            or kind/version is invalid.
-        FrameTooLarge: params or payload exceeds 2^32 - 1 bytes.
-    """
-    if frame.version != VERSION:
-        raise ValueError(f"unsupported version: {frame.version}")
+def _check_frame(frame: Frame) -> None:
+    """Raise unless every field of `frame` fits its wire width."""
     if frame.kind not in (KIND_REQUEST, KIND_RESPONSE):
         raise ValueError(f"invalid kind: {frame.kind}")
-    _check_u8("status", frame.status)
+    if not 0 <= frame.status <= 0xFF:
+        raise ValueError(f"status out of range for u8: {frame.status}")
     if not 0 <= frame.function_id <= 0xFFFF:
         raise ValueError(f"function_id out of range for u16: {frame.function_id}")
     if not 0 <= frame.correlation_id <= _U32_MAX:
@@ -158,9 +135,27 @@ def encode_frame(frame: Frame) -> bytes:
     if len(frame.params) > _U32_MAX or len(frame.payload) > _U32_MAX:
         raise FrameTooLarge("params or payload exceeds u32 length")
 
+
+def encode_frame(frame: Frame) -> bytes:
+    """Serialize a frame to bytes.
+
+    Args:
+        frame: Frame whose invariants hold (kind 1 or 2, all integer
+            fields within their wire widths).
+
+    Returns:
+        The 25-byte header, with magic, version and the CRC-32 checksum
+        filled in, followed by params and payload.
+
+    Raises:
+        ValueError: An integer field is out of range for its width,
+            or kind is invalid.
+        FrameTooLarge: params or payload exceeds 2^32 - 1 bytes.
+    """
+    _check_frame(frame)
     header = _HEADER.pack(
         MAGIC,
-        frame.version,
+        VERSION,
         frame.kind,
         frame.status,
         frame.function_id,
@@ -175,6 +170,29 @@ def encode_frame(frame: Frame) -> bytes:
     return b"".join(
         (header[:_CHECKSUM_OFFSET], struct.pack("<I", crc), frame.params, frame.payload)
     )
+
+
+def _parse_header(buf: bytes | bytearray, max_body: int) -> _Header | None:
+    """Check the header at the start of `buf` and return its fields.
+
+    Returns None while `buf` is shorter than a header.  Raises, in the
+    order docs/wire.md gives, MalformedFrame for a bad magic (seen in
+    the first four bytes alone), version or kind, and FrameTooLarge for
+    a declared body over `max_body`.
+    """
+    if len(buf) >= len(MAGIC) and buf[: len(MAGIC)] != MAGIC:
+        raise MalformedFrame(f"bad magic: {bytes(buf[: len(MAGIC)])!r}")
+    if len(buf) < HEADER_SIZE:
+        return None
+    header = _Header._make(_HEADER.unpack_from(buf))
+    if header.version != VERSION:
+        raise MalformedFrame(f"unsupported version: {header.version}")
+    if header.kind not in (KIND_REQUEST, KIND_RESPONSE):
+        raise MalformedFrame(f"invalid kind: {header.kind}")
+    body = header.params_len + header.payload_len
+    if body > max_body:
+        raise FrameTooLarge(f"declared body {body} exceeds limit {max_body}")
+    return header
 
 
 def decode_frame(data: bytes, *, max_body: int = DEFAULT_MAX_BODY) -> Frame:
@@ -194,63 +212,31 @@ def decode_frame(data: bytes, *, max_body: int = DEFAULT_MAX_BODY) -> Frame:
             the declared lengths, or (FrameTooLarge) body over max_body.
         ChecksumMismatch: The frame's CRC-32 does not verify.
     """
-    if len(data) >= 4 and data[:4] != MAGIC:
-        raise MalformedFrame(f"bad magic: {data[:4]!r}")
-    if len(data) < HEADER_SIZE:
+    header = _parse_header(data, max_body)
+    if header is None:
         raise Truncated(f"need {HEADER_SIZE} header bytes, have {len(data)}")
-
-    (
-        _magic,
-        version,
-        kind,
-        status,
-        function_id,
-        correlation_id,
-        params_len,
-        payload_len,
-        checksum,
-    ) = _HEADER.unpack_from(data)
-    _validate_header(version, kind, params_len, payload_len, max_body)
-
-    total = HEADER_SIZE + params_len + payload_len
+    params_end = HEADER_SIZE + header.params_len
+    total = params_end + header.payload_len
     if len(data) < total:
         raise Truncated(f"declared {total} bytes, have {len(data)}")
     if len(data) > total:
         raise MalformedFrame(f"{len(data) - total} trailing bytes after frame")
 
-    _verify_checksum(data, total, checksum)
-    params = data[HEADER_SIZE : HEADER_SIZE + params_len]
-    payload = data[HEADER_SIZE + params_len : total]
-    return Frame(
-        kind=kind,
-        status=status,
-        function_id=function_id,
-        correlation_id=correlation_id,
-        params=bytes(params),
-        payload=bytes(payload),
-        version=version,
-    )
-
-
-def _validate_header(
-    version: int, kind: int, params_len: int, payload_len: int, max_body: int
-) -> None:
-    if version != VERSION:
-        raise MalformedFrame(f"unsupported version: {version}")
-    if kind not in (KIND_REQUEST, KIND_RESPONSE):
-        raise MalformedFrame(f"invalid kind: {kind}")
-    if params_len + payload_len > max_body:
-        raise FrameTooLarge(
-            f"declared body {params_len + payload_len} exceeds limit {max_body}"
-        )
-
-
-def _verify_checksum(data: bytes, total: int, declared: int) -> None:
     crc = zlib.crc32(data[:_CHECKSUM_OFFSET])
     crc = zlib.crc32(b"\x00\x00\x00\x00", crc)
     crc = zlib.crc32(data[HEADER_SIZE:total], crc)
-    if crc != declared:
-        raise ChecksumMismatch(f"declared {declared:#010x}, computed {crc:#010x}")
+    if crc != header.checksum:
+        raise ChecksumMismatch(
+            f"declared {header.checksum:#010x}, computed {crc:#010x}"
+        )
+    return Frame(
+        kind=header.kind,
+        status=header.status,
+        function_id=header.function_id,
+        correlation_id=header.correlation_id,
+        params=bytes(data[HEADER_SIZE:params_end]),
+        payload=bytes(data[params_end:total]),
+    )
 
 
 class FrameDecoder:
@@ -276,15 +262,11 @@ class FrameDecoder:
 
     def next_frame(self) -> Frame | None:
         buf = self._buf
-        if len(buf) >= 4 and buf[:4] != MAGIC:
-            raise MalformedFrame(f"bad magic: {bytes(buf[:4])!r}")
-        if len(buf) < HEADER_SIZE:
-            return None
-        version, kind = buf[4], buf[5]
-        params_len, payload_len = struct.unpack_from("<II", buf, 13)
         # Reject garbage before buffering up to a bogus declared length.
-        _validate_header(version, kind, params_len, payload_len, self._max_body)
-        total = HEADER_SIZE + params_len + payload_len
+        header = _parse_header(buf, self._max_body)
+        if header is None:
+            return None
+        total = HEADER_SIZE + header.params_len + header.payload_len
         if len(buf) < total:
             return None
         frame = decode_frame(bytes(buf[:total]), max_body=self._max_body)
@@ -322,35 +304,50 @@ FunctionParams = (
     CompressParams | DecompressParams | EcEncodeParams | EcDecodeParams
 )
 
-_EC_DECODE = struct.Struct("<BBII")
+# Each function's params type and wire layout: the type's fields, in
+# order, packed with the struct.  docs/wire.md lists the same table.
+PARAMS_LAYOUTS: dict[int, tuple[type, struct.Struct]] = {
+    FunctionId.COMPRESS: (CompressParams, struct.Struct("<B")),
+    FunctionId.DECOMPRESS: (DecompressParams, struct.Struct("<B")),
+    FunctionId.EC_ENCODE: (EcEncodeParams, struct.Struct("<BB")),
+    FunctionId.EC_DECODE: (EcDecodeParams, struct.Struct("<BBII")),
+}
+
+_LAYOUT_OF_TYPE = {
+    cls: (layout, tuple(f.name for f in fields(cls)))
+    for cls, layout in PARAMS_LAYOUTS.values()
+}
 
 
-def _check_ec_bounds(k: int, m: int) -> None:
-    if not code_fits(k, m):
-        raise MalformedParams(f"invalid code parameters k={k} m={m}")
-
-
-def encode_params(params: FunctionParams) -> bytes:
-    """Serialize function parameters to their fixed per-variant layout."""
-    if isinstance(params, CompressParams):
-        _check_u8("codec_id", params.codec_id)
-        return bytes((params.codec_id,))
-    if isinstance(params, DecompressParams):
-        _check_u8("codec_id", params.codec_id)
-        return bytes((params.codec_id,))
-    if isinstance(params, EcEncodeParams):
-        _check_ec_bounds(params.k, params.m)
-        return bytes((params.k, params.m))
+def _check_params(params: FunctionParams) -> None:
+    """Raise MalformedParams unless `params` obeys docs/wire.md's rules."""
+    ec = isinstance(params, (EcEncodeParams, EcDecodeParams))
+    if ec and not code_fits(params.k, params.m):
+        raise MalformedParams(f"invalid code parameters k={params.k} m={params.m}")
     if isinstance(params, EcDecodeParams):
-        _check_ec_bounds(params.k, params.m)
-        if params.shard_size < 1 or params.shard_size > _U32_MAX:
+        if not 1 <= params.shard_size <= _U32_MAX:
             raise MalformedParams(f"invalid shard_size {params.shard_size}")
         if params.present_bitmap >> (params.k + params.m):
             raise MalformedParams("present_bitmap has bits beyond k+m set")
-        return _EC_DECODE.pack(
-            params.k, params.m, params.shard_size, params.present_bitmap
-        )
-    raise TypeError(f"not a FunctionParams: {params!r}")
+
+
+def encode_params(params: FunctionParams) -> bytes:
+    """Serialize function parameters to their fixed per-variant layout.
+
+    Raises:
+        TypeError: `params` is not a FunctionParams.
+        MalformedParams: A field breaks a rule of docs/wire.md.
+        ValueError: Another field does not fit its wire width.
+    """
+    try:
+        layout, names = _LAYOUT_OF_TYPE[type(params)]
+    except KeyError:
+        raise TypeError(f"not a FunctionParams: {params!r}") from None
+    _check_params(params)
+    try:
+        return layout.pack(*[getattr(params, name) for name in names])
+    except struct.error as exc:
+        raise ValueError(f"{params!r} does not fit its layout: {exc}") from None
 
 
 def decode_params(function_id: int, data: bytes) -> FunctionParams:
@@ -360,28 +357,14 @@ def decode_params(function_id: int, data: bytes) -> FunctionParams:
         MalformedParams: Unknown function id, wrong length for the
             function's layout, or invariant-violating field values.
     """
-    if function_id in (FunctionId.COMPRESS, FunctionId.DECOMPRESS):
-        if len(data) != 1:
-            raise MalformedParams(f"expected 1 byte, got {len(data)}")
-        cls = CompressParams if function_id == FunctionId.COMPRESS else DecompressParams
-        return cls(codec_id=data[0])
-    if function_id == FunctionId.EC_ENCODE:
-        if len(data) != 2:
-            raise MalformedParams(f"expected 2 bytes, got {len(data)}")
-        k, m = data[0], data[1]
-        _check_ec_bounds(k, m)
-        return EcEncodeParams(k=k, m=m)
-    if function_id == FunctionId.EC_DECODE:
-        if len(data) != _EC_DECODE.size:
-            raise MalformedParams(f"expected {_EC_DECODE.size} bytes, got {len(data)}")
-        k, m, shard_size, bitmap = _EC_DECODE.unpack(data)
-        _check_ec_bounds(k, m)
-        if shard_size < 1:
-            raise MalformedParams("shard_size must be >= 1")
-        if bitmap >> (k + m):
-            raise MalformedParams("present_bitmap has bits beyond k+m set")
-        return EcDecodeParams(k=k, m=m, shard_size=shard_size, present_bitmap=bitmap)
-    raise MalformedParams(f"unknown function_id {function_id}")
+    if function_id not in PARAMS_LAYOUTS:
+        raise MalformedParams(f"unknown function_id {function_id}")
+    cls, layout = PARAMS_LAYOUTS[function_id]
+    if len(data) != layout.size:
+        raise MalformedParams(f"expected {layout.size} bytes, got {len(data)}")
+    params = cls(*layout.unpack(data))
+    _check_params(params)
+    return params
 
 
 def request(
@@ -390,9 +373,13 @@ def request(
     params: FunctionParams | bytes,
     payload: bytes = b"",
 ) -> Frame:
-    """Build a request frame, encoding params if given structurally."""
+    """Build a request frame, encoding params if given structurally.
+
+    Raises what encode_params and encode_frame would, so that a request
+    that cannot go on the wire fails where it is built.
+    """
     raw = params if isinstance(params, bytes) else encode_params(params)
-    return Frame(
+    frame = Frame(
         kind=KIND_REQUEST,
         status=Status.OK,
         function_id=function_id,
@@ -400,6 +387,8 @@ def request(
         params=raw,
         payload=payload,
     )
+    _check_frame(frame)
+    return frame
 
 
 def response(

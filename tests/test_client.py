@@ -269,8 +269,10 @@ def test_correlation_ids_wrap_past_u32_and_skip_zero(mode):
         assert seen == [(1 << 32) - 2, (1 << 32) - 1, 1]
 
 
-def test_unencodable_request_fails_alone():
-    with loopback_client() as client:
+@pytest.mark.parametrize("mode", ["in-process", "remote"])
+def test_unencodable_request_fails_alone(mode):
+    client = in_process_client() if mode == "in-process" else loopback_client()
+    with client:
         with pytest.raises(ValueError):
             client.submit(1 << 16, b"")  # function_id does not fit u16
         block = client.call(FunctionId.COMPRESS, CompressParams(1), b"still works")

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from msfm import codec
+from msfm import codec, protocol
 from msfm.client import Client, ClientConfig
 from msfm.miniobj import (
     NotFound,
@@ -182,6 +182,27 @@ def test_stored_bytes_identical_in_process_vs_remote():
                 ]
                 assert local_blobs == remote_blobs
                 assert remote_store.get("obj", remote) == data
+
+
+def test_every_call_sends_its_functions_params_type():
+    calls = []
+
+    class RecordingClient(Client):
+        def call(self, function_id, params, payload=b"", timeout_ms=None):
+            calls.append((function_id, type(params)))
+            return super().call(function_id, params, payload, timeout_ms)
+
+    store = ObjectStore(osd_count=6)
+    with RecordingClient(ClientConfig(mode="in-process")) as client:
+        for name, policy in (
+            ("packed", ObjectPolicy.compress(codec.CODEC_RLE0, client)),
+            ("coded", ObjectPolicy.ec(4, 2, client)),
+        ):
+            store.put(name, bytes(5000), policy)
+            assert store.get(name, client) == bytes(5000)
+    assert sorted({function_id for function_id, _ in calls}) == [1, 2, 3, 4]
+    for function_id, params_type in calls:
+        assert params_type is protocol.PARAMS_LAYOUTS[function_id][0]
 
 
 # --- manifests ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Wire format tests: golden vectors, round-trips, corruption, streaming."""
 
+import dataclasses
 import re
 import struct
 import zlib
@@ -19,6 +20,20 @@ def doc_hex_blocks() -> list[bytes]:
     text = DOCS.read_text()
     blocks = re.findall(r"```\n([0-9a-f\n]+?)```", text)
     return [bytes.fromhex("".join(b.split())) for b in blocks]
+
+
+def doc_params_table() -> dict[int, tuple[str, list[list[str]]]]:
+    """The "Functions and their params layouts" table of docs/wire.md.
+
+    Maps each function id to its name and its [field, width] pairs.
+    """
+    text = DOCS.read_text()
+    section = text.split("## Functions and their params layouts")[1].split("\n## ")[0]
+    rows = re.findall(r"^\|\s*(\d+)\s*\|\s*(\w+)\s*\|\s*`([^`]*)`\s*\|", section, re.M)
+    return {
+        int(fid): (name, [field.split(":") for field in layout.split()])
+        for fid, name, layout in rows
+    }
 
 
 def crc32_reference(data: bytes) -> int:
@@ -64,6 +79,23 @@ def test_golden_ec_decode_params_match_docs():
     params = p.EcDecodeParams(k=4, m=2, shard_size=1024, present_bitmap=0b110111)
     assert p.encode_params(params) == golden
     assert p.decode_params(p.FunctionId.EC_DECODE, golden) == params
+
+
+_WIDTHS = {"u8": ("B", 1), "u32": ("I", 4)}
+
+
+def test_params_layouts_match_docs_table():
+    table = doc_params_table()
+    assert table and sorted(table) == sorted(p.PARAMS_LAYOUTS)
+    for function_id, (name, doc_fields) in table.items():
+        cls, layout = p.PARAMS_LAYOUTS[function_id]
+        assert p.FunctionId(function_id).name.lower() == name
+        names = [field for field, _ in doc_fields]
+        assert [f.name for f in dataclasses.fields(cls)] == names
+        assert layout.format == "<" + "".join(_WIDTHS[w][0] for _, w in doc_fields)
+        # All ones is a valid value of every field of every layout.
+        encoded = p.encode_params(cls(*[1] * len(names)))
+        assert len(encoded) == sum(_WIDTHS[w][1] for _, w in doc_fields)
 
 
 def test_header_is_25_bytes():
@@ -154,6 +186,15 @@ def test_encode_rejects_out_of_range_fields():
         )
 
 
+@pytest.mark.parametrize(
+    "function_id, correlation_id",
+    [(1 << 16, 1), (-1, 1), (1, 1 << 32), (1, -1)],
+)
+def test_request_rejects_fields_beyond_their_width(function_id, correlation_id):
+    with pytest.raises(ValueError):
+        p.request(function_id, correlation_id, b"")
+
+
 # --- streaming decoder ----------------------------------------------------
 
 @given(
@@ -186,6 +227,27 @@ def test_stream_decoder_enforces_body_limit_before_buffering():
     dec.feed(enc[:25])
     with pytest.raises(p.FrameTooLarge):
         dec.next_frame()
+
+
+@pytest.mark.parametrize(
+    "offset, value, error",
+    [
+        (0, ord("X"), p.MalformedFrame),  # magic
+        (4, 2, p.MalformedFrame),  # version
+        (5, 3, p.MalformedFrame),  # kind
+        (16, 0x10, p.FrameTooLarge),  # params_len over the 64 MiB default
+    ],
+)
+def test_stream_and_whole_frame_decoders_reject_a_header_alike(offset, value, error):
+    header = bytearray(p.encode_frame(REQUEST)[: p.HEADER_SIZE])
+    header[offset] = value
+    with pytest.raises(p.ProtocolError) as whole:
+        p.decode_frame(bytes(header))
+    dec = p.FrameDecoder()
+    dec.feed(bytes(header))
+    with pytest.raises(p.ProtocolError) as streamed:
+        dec.next_frame()
+    assert whole.type is streamed.type is error
 
 
 # --- params ---------------------------------------------------------------
@@ -257,6 +319,24 @@ def test_ec_decode_params_invariants():
     bad[2:6] = b"\x00\x00\x00\x00"
     with pytest.raises(p.MalformedParams):
         p.decode_params(p.FunctionId.EC_DECODE, bytes(bad))
+
+
+@pytest.mark.parametrize(
+    "params, error",
+    [
+        (p.CompressParams(256), ValueError),
+        (p.DecompressParams(-1), ValueError),
+        (p.EcEncodeParams(0, 1), p.MalformedParams),
+        (p.EcDecodeParams(2, 1, 0, 0b111), p.MalformedParams),
+        (p.EcDecodeParams(2, 1, 1 << 32, 0b111), p.MalformedParams),
+        (p.EcDecodeParams(2, 1, 8, 0b1000), p.MalformedParams),
+        (b"\x01", TypeError),
+    ],
+)
+def test_encode_params_rejections(params, error):
+    with pytest.raises(Exception) as raised:
+        p.encode_params(params)
+    assert raised.type is error
 
 
 def test_unknown_function_id_params():
