@@ -133,6 +133,9 @@ class TcpTransport(Transport):
     def __init__(self, host: str, port: int, connect_timeout: float = 5.0):
         self._sock = socket.create_connection((host, port), timeout=connect_timeout)
         self._sock.settimeout(None)
+        # Pipelined requests are small writes sent back to back; with
+        # Nagle on, each burst would wait for the server's delayed ACK.
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
     def send(self, data: bytes) -> None:
         self._sock.sendall(data)

@@ -9,16 +9,20 @@ function ids onto the codec and erasure-coding modules:
     3 ec_encode    k*shard_size data bytes -> k+m shards, concatenated
     4 ec_decode    present shards (ascending index) -> data bytes
 
-`Server` wraps dispatch in a TCP front end: one reader thread per
-connection feeding a shared worker pool, responses written back under a
-per-connection lock as they finish — possibly out of request order;
-the correlation id is the pairing contract.  Requests beyond the
-per-connection in-flight limit are answered immediately with
-ServerBusy rather than queued, keeping memory bounded by
-(connections x in-flight x frame size).
+`Server` wraps dispatch in a TCP front end with one reader thread per
+connection.  By default (workers=1) that reader runs dispatch itself
+and answers every frame decoded from one recv with one write, in
+request order.  With workers > 1 the reader feeds a shared worker pool
+instead, and each response is written under a per-connection lock as
+it finishes — possibly out of request order; the correlation id is the
+pairing contract.  Requests beyond the per-connection in-flight limit
+are answered immediately with ServerBusy rather than queued, keeping
+memory bounded by (connections x in-flight x frame size); an inline
+reader reads nothing more until its batch is answered.
 
-A frame that fails to decode kills its connection: the server sends a
-best-effort status-2 response with correlation_id 0, then closes.
+A frame that fails to decode kills its connection: the frames decoded
+before it are still answered, then the server sends a best-effort
+status-2 response with correlation_id 0 and closes.
 """
 
 from __future__ import annotations
@@ -136,14 +140,19 @@ def dispatch(request: Frame, registry: dict[int, Handler]) -> Frame:
 
 @dataclass
 class ServerConfig:
-    """Listener and resource limits; every limit must be >= 1."""
+    """Listener and resource limits; every limit must be >= 1.
+
+    workers=1 dispatches on each connection's reader thread and answers
+    all the frames decoded from one recv with one write; workers=N > 1
+    dispatches on a shared pool of N threads, one write per response.
+    """
 
     host: str = "127.0.0.1"
     port: int = 0
     max_connections: int = 64
     max_inflight: int = 32
     max_frame_bytes: int = protocol.DEFAULT_MAX_BODY
-    workers: int = 4
+    workers: int = 1
     response_jitter_ms: float = 0.0
     jitter_seed: int | None = None
 
@@ -195,9 +204,10 @@ class Server:
         # accept(); poll with a timeout so stop() terminates the loop.
         listener.settimeout(0.2)
         self._listener = listener
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.workers, thread_name_prefix="msfm-worker"
-        )
+        if self.config.workers > 1:
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.config.workers, thread_name_prefix="msfm-worker"
+            )
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="msfm-accept", daemon=True
         )
@@ -228,7 +238,7 @@ class Server:
         self.stop()
 
     def _accept_loop(self) -> None:
-        assert self._listener is not None and self._pool is not None
+        assert self._listener is not None
         while not self._stopping.is_set():
             try:
                 sock, peer = self._listener.accept()
@@ -237,6 +247,9 @@ class Server:
             except OSError:
                 break  # listener closed by stop()
             sock.settimeout(None)
+            # Responses are small writes the client waits on; with Nagle
+            # on, each burst would wait for the peer's delayed ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with self._conn_lock:
                 if len(self._connections) >= self.config.max_connections:
                     sock.close()
@@ -252,21 +265,19 @@ class Server:
 
     def _sleep_jitter(self) -> None:
         if self._jitter is not None:
-            self._jitter_sleep(self._jitter.uniform(0, self.config.response_jitter_ms))
-
-    @staticmethod
-    def _jitter_sleep(ms: float) -> None:
-        time.sleep(ms / 1000.0)
+            time.sleep(self._jitter.uniform(0, self.config.response_jitter_ms) / 1000)
 
 
 class _Connection:
-    """One client connection: reader thread, in-flight gate, writer lock."""
+    """One client connection: reader thread, in-flight count, writer lock."""
 
     def __init__(self, server: Server, sock: socket.socket):
         self._server = server
         self._sock = sock
         self._write_lock = threading.Lock()
-        self._inflight = threading.Semaphore(server.config.max_inflight)
+        # Admitted batches whose responses are not yet written.
+        self._inflight = 0
+        self._idle = threading.Condition()
         self._reader: threading.Thread | None = None
         self._closed = threading.Event()
 
@@ -278,6 +289,7 @@ class _Connection:
 
     def _read_loop(self) -> None:
         decoder = FrameDecoder(self._server.config.max_frame_bytes)
+        inline = self._server._pool is None
         try:
             while not self._closed.is_set():
                 try:
@@ -287,60 +299,77 @@ class _Connection:
                 if not data:
                     break
                 decoder.feed(data)
-                while (frame := decoder.next_frame()) is not None:
-                    self._admit(frame)
+                frames: list[Frame] = []
+                try:
+                    while (frame := decoder.next_frame()) is not None:
+                        frames.append(frame)
+                finally:
+                    # Frames decoded before a bad one are still answered.
+                    for batch in [frames] if inline else [[f] for f in frames]:
+                        self._admit(batch)
         except protocol.ProtocolError as exc:
             log.warning("closing connection after decode error: %s", exc)
-            self._send_best_effort_error(str(exc))
+            self._wait_idle()
+            # Best effort; correlation id 0 stands for the connection.
+            detail = str(exc).encode("utf-8")
+            self._write(
+                [Frame(protocol.KIND_RESPONSE, Status.MALFORMED_PARAMS, 0, 0, detail)]
+            )
         finally:
             self._finish()
 
-    def _admit(self, frame: Frame) -> None:
-        if not self._inflight.acquire(blocking=False):
-            busy = protocol.response(
-                frame, Status.SERVER_BUSY, detail="in-flight limit reached"
-            )
-            self._write(busy)
+    def _admit(self, frames: list[Frame]) -> None:
+        """Run one batch on the reader or the pool, or answer it busy."""
+        if not frames:
             return
-        assert self._server._pool is not None
-        self._server._pool.submit(self._process, frame)
+        with self._idle:
+            admitted = (
+                self._inflight < self._server.config.max_inflight
+                and not self._closed.is_set()
+            )
+            if admitted:
+                self._inflight += 1
+        if not admitted:
+            why = "in-flight limit reached"
+            self._write(
+                [protocol.response(f, Status.SERVER_BUSY, detail=why) for f in frames]
+            )
+        elif self._server._pool is None:
+            self._process(frames)
+        else:
+            self._server._pool.submit(self._process, frames)
 
-    def _process(self, frame: Frame) -> None:
+    def _process(self, frames: list[Frame]) -> None:
         try:
-            response = dispatch(frame, self._server.registry)
+            responses = [dispatch(frame, self._server.registry) for frame in frames]
             self._server._sleep_jitter()
-            self._write(response)
+            self._write(responses)
         finally:
-            self._inflight.release()
+            with self._idle:
+                self._inflight -= 1
+                self._idle.notify_all()
 
-    def _write(self, frame: Frame) -> None:
-        encoded = protocol.encode_frame(frame)
+    def _write(self, frames: list[Frame]) -> None:
+        encoded = b"".join(protocol.encode_frame(frame) for frame in frames)
         try:
             with self._write_lock:
                 self._sock.sendall(encoded)
         except OSError:
             pass  # peer went away; nothing useful left to do
 
-    def _send_best_effort_error(self, detail: str) -> None:
-        error = Frame(
-            kind=protocol.KIND_RESPONSE,
-            status=Status.MALFORMED_PARAMS,
-            function_id=0,
-            correlation_id=0,
-            params=detail.encode("utf-8"),
-        )
-        self._write(error)
+    def _wait_idle(self) -> None:
+        with self._idle:
+            self._idle.wait_for(lambda: not self._inflight)
 
     def drain_and_close(self) -> None:
         """Wait for admitted requests to answer, then close the socket.
 
-        Every admitted request holds one in-flight permit until its
-        response is written, so holding all of them means none is left;
-        a frame read meanwhile is answered with ServerBusy.
+        Each admitted batch counts as in flight until its responses are
+        written; once closed is set no batch is admitted, so a frame
+        read meanwhile is answered with ServerBusy.
         """
         self._closed.set()
-        for _ in range(self._server.config.max_inflight):
-            self._inflight.acquire()
+        self._wait_idle()
         self._shutdown_socket()
         if self._reader is not None and self._reader is not threading.current_thread():
             self._reader.join(timeout=5)
@@ -377,7 +406,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-inflight", type=int, default=32, metavar="N")
     parser.add_argument("--max-frame-mb", type=int, default=64, metavar="N")
     parser.add_argument("--max-connections", type=int, default=64, metavar="N")
-    parser.add_argument("--workers", type=int, default=4, metavar="N")
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        metavar="N",
+        help="1 dispatches on each connection's reader, one write per batch of "
+        "requests; N > 1 dispatches on a pool of N threads (default %(default)s)",
+    )
     parser.add_argument(
         "--jitter-ms",
         type=float,

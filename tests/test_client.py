@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import socket
 import sys
 import threading
 import time
@@ -19,6 +20,7 @@ from msfm.client import (
     FunctionFailed,
     Instance,
     InstanceState,
+    TcpTransport,
     TimedOut,
     TransportError,
     UnsupportedFunction,
@@ -290,6 +292,15 @@ def test_tcp_client_against_live_server():
             assert codec.decompress(block) == data
             with in_process_client() as local:
                 assert block == local.call(FunctionId.COMPRESS, CompressParams(2), data)
+
+
+def test_tcp_transport_disables_nagle():
+    with Server(ServerConfig(), default_registry()) as server:
+        transport = TcpTransport(*server.address)
+        try:
+            assert transport._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            transport.close()
 
 
 def test_tcp_concurrent_senders_keep_frames_whole():

@@ -3,6 +3,7 @@
 import random
 import socket
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -273,6 +274,69 @@ def test_jitter_reorders_but_pairing_holds():
         client.close()
 
 
+def test_accepted_socket_disables_nagle():
+    with Server(ServerConfig(), REGISTRY) as server:
+        client = RawClient(server.address)
+        client.send(req(FunctionId.COMPRESS, 1, protocol.CompressParams(1), b"a"))
+        client.recv_frames(1)
+        (conn,) = server._connections
+        assert conn._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        client.close()
+
+
+def test_default_server_dispatches_inline_in_request_order():
+    rng = random.Random(5)
+    before = set(threading.enumerate())
+    with Server(ServerConfig(), REGISTRY) as server:
+        client = RawClient(server.address)
+        payloads = [rng.randbytes(rng.randrange(1, 4096)) for _ in range(16)]
+        client.send(
+            *(
+                req(FunctionId.COMPRESS, cid, protocol.CompressParams(1), data)
+                for cid, data in enumerate(payloads, start=1)
+            )
+        )
+        responses = client.recv_frames(16)
+        started = set(threading.enumerate()) - before
+        assert not [t.name for t in started if t.name.startswith("msfm-worker")]
+        assert [r.correlation_id for r in responses] == list(range(1, 17))
+        for resp, data in zip(responses, payloads):
+            assert resp.status == Status.OK
+            assert codec.decompress(resp.payload) == data
+        client.close()
+
+
+@pytest.mark.parametrize("workers", [1, 4], ids=["inline", "pool"])
+def test_frames_before_a_corrupt_frame_are_answered(workers):
+    def slow_compress(params, payload):
+        # Still running when the reader meets the corrupt frame.
+        time.sleep(0.1)
+        return codec.compress(payload, params.codec_id)
+
+    config = ServerConfig(workers=workers)
+    with Server(config, {FunctionId.COMPRESS: slow_compress}) as server:
+        client = RawClient(server.address)
+        good = protocol.encode_frame(
+            req(FunctionId.COMPRESS, 1, protocol.CompressParams(1), b"a" * 100)
+        )
+        bad = bytearray(
+            protocol.encode_frame(
+                req(FunctionId.COMPRESS, 2, protocol.CompressParams(1), b"b" * 100)
+            )
+        )
+        bad[30] ^= 0xFF  # corrupt inside the body
+        client.send_raw(good + bytes(bad))
+        first, *trailing = client.recv_until_closed()
+        assert (first.correlation_id, first.status) == (1, Status.OK)
+        assert codec.decompress(first.payload) == b"a" * 100
+        assert len(trailing) <= 1
+        assert all(
+            (f.correlation_id, f.status) == (0, Status.MALFORMED_PARAMS)
+            for f in trailing
+        )
+        client.close()
+
+
 def test_corrupt_frame_closes_connection_after_prior_responses():
     with Server(ServerConfig(), REGISTRY) as server:
         client = RawClient(server.address)
@@ -320,7 +384,8 @@ def test_busy_when_inflight_limit_exceeded():
         client.close()
 
 
-def test_stop_flushes_admitted_requests_before_closing():
+@pytest.mark.parametrize("workers", [1, 4], ids=["inline", "pool"])
+def test_stop_flushes_admitted_requests_before_closing(workers):
     started = threading.Event()
     release = threading.Event()
 
@@ -329,7 +394,7 @@ def test_stop_flushes_admitted_requests_before_closing():
         release.wait(10)
         return b"done"
 
-    server = Server(ServerConfig(), {1: stalling_handler}).start()
+    server = Server(ServerConfig(workers=workers), {1: stalling_handler}).start()
     client = RawClient(server.address)
     client.send(req(1, 1, b"\x01"))
     assert started.wait(5)
