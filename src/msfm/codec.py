@@ -14,7 +14,9 @@ stored fallback whenever the codec's body would be as large as the
 input, so output never exceeds input by more than the 6-byte header.
 
 rle0 token stream: a 0x00 byte followed by a count byte 1..255 expands
-to that many zero bytes; any nonzero byte stands for itself.
+to that many zero bytes; any nonzero byte stands for itself.  A valid
+body therefore has no two adjacent zero bytes and does not end in 0x00:
+every zero byte in it is a marker.
 
 lz token stream: a tag byte below 0x80 introduces a literal run of
 (tag + 1) bytes, copied verbatim from the next (tag + 1) stream bytes;
@@ -43,7 +45,17 @@ _LZ_MIN_MATCH = 3
 _LZ_MAX_MATCH = 130
 _LZ_MAX_LITERAL_RUN = 128
 
-_ZERO_RUNS = re.compile(rb"\x00+")
+# rle0 works on windows of this many input (or body) bytes, so that the
+# pieces a split makes never outgrow one window.
+_WINDOW = 1 << 16
+# The first \x00 is spelled out so that sre searches for it as a literal
+# at C speed; rb"\x00{1,255}" splits the same but tries every position.
+_SHORT_RUNS = re.compile(rb"(\x00\x00{0,254})")
+_ZERO_RUN = re.compile(rb"\x00+")
+# In a valid body every zero byte is a marker and the next its count.
+_MARKED_RUNS = re.compile(rb"\x00(.)", re.S)
+_RUN_TOKEN = [bytes((0, n)) for n in range(256)]
+_ZEROS = [bytes(n) for n in range(256)]
 
 
 class CodecError(Exception):
@@ -130,42 +142,49 @@ def decompress(block: bytes) -> bytes:
 # --- rle0 ------------------------------------------------------------------
 
 def _rle0_encode(data: bytes) -> bytes:
-    out = bytearray()
-    pos = 0
-    for match in _ZERO_RUNS.finditer(data):
-        start, end = match.span()
-        out += data[pos:start]
-        run = end - start
-        while run:
-            step = min(run, 255)
-            out.append(0)
-            out.append(step)
-            run -= step
+    out = []
+    pos, n = 0, len(data)
+    while pos < n:
+        end = min(pos + _WINDOW, n)
+        if data[end - 1 : end + 1] == b"\x00\x00":
+            # The cut splits a zero run, whose tokens depend on its whole
+            # length: cut at the run's start instead, or, when the run
+            # fills the window, emit the whole run here.
+            end = pos + len(data[pos:end].rstrip(b"\x00"))
+            if end == pos:
+                end = _ZERO_RUN.match(data, pos).end()
+                full, rest = divmod(end - pos, 255)
+                out.append(_RUN_TOKEN[255] * full + (_RUN_TOKEN[rest] if rest else b""))
+                pos = end
+                continue
+        pieces = _SHORT_RUNS.split(data[pos:end])
+        pieces[1::2] = map(_RUN_TOKEN.__getitem__, map(len, pieces[1::2]))
+        out.append(b"".join(pieces))
         pos = end
-    out += data[pos:]
-    return bytes(out)
+    return b"".join(out)
 
 
 def _rle0_decode(body: bytes, raw_len: int) -> bytes:
-    out = bytearray()
-    i = 0
-    n = len(body)
-    while i < n:
-        zero = body.find(0, i)
-        if zero < 0:
-            out += body[i:]
-            break
-        out += body[i:zero]
-        if zero + 1 >= n:
-            raise CorruptBlock("zero-run marker at end of body")
-        run = body[zero + 1]
-        if run == 0:
+    if body[-1:] == b"\x00":
+        raise CorruptBlock("zero-run marker at end of body")
+    out = []
+    size = 0
+    pos, n = 0, len(body)
+    while pos < n:
+        end = min(pos + _WINDOW, n)
+        if body[end - 1] == 0:  # a marker: keep its count in this window
+            end += 1
+        pieces = _MARKED_RUNS.split(body[pos:end])
+        counts = b"".join(pieces[1::2])
+        if 0 in counts:
             raise CorruptBlock("zero-length zero run")
-        out += bytes(run)
-        i = zero + 2
-        if len(out) > raw_len:
+        size += end - pos - 2 * len(counts) + sum(counts)
+        if size > raw_len:
             raise CorruptBlock("body decodes past raw_len")
-    return bytes(out)
+        pieces[1::2] = map(_ZEROS.__getitem__, counts)
+        out.append(b"".join(pieces))
+        pos = end
+    return b"".join(out)
 
 
 # --- lz ---------------------------------------------------------------------

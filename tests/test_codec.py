@@ -2,12 +2,14 @@
 
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from msfm import codec
 from msfm.codec import (
     CODEC_LZ,
     CODEC_RLE0,
@@ -140,6 +142,129 @@ def test_roundtrip_and_expansion_bound(data, codec_id):
     assert len(block) <= len(data) + 6
 
 
+# --- rle0 against a reference taken from the token rules in docs/codec.md ---
+
+def reference_rle0_encode(data: bytes) -> bytes:
+    out = bytearray()
+    run = 0
+    for byte in data:
+        if byte == 0:
+            run += 1
+            if run == 255:
+                out += b"\x00\xff"
+                run = 0
+            continue
+        if run:
+            out += bytes((0, run))
+            run = 0
+        out.append(byte)
+    if run:
+        out += bytes((0, run))
+    return bytes(out)
+
+
+def reference_rle0_decode(body: bytes) -> bytes | None:
+    """The decoded bytes, or None where a decoder must reject the body."""
+    out = bytearray()
+    i = 0
+    while i < len(body):
+        if body[i]:
+            out.append(body[i])
+            i += 1
+        elif i + 1 < len(body) and body[i + 1]:
+            out += bytes(body[i + 1])
+            i += 2
+        else:  # a marker without a count, or a count of 0
+            return None
+    return bytes(out)
+
+
+# Window sizes small enough that nearly every input crosses window
+# edges, plus the module's own.
+WINDOWS = pytest.mark.parametrize("window", [1, 2, 3, 257, pytest.param(None, id="default")])
+
+
+def straddling(n: int) -> bytes:
+    """n bytes whose trailing zero run crosses a 64 KiB edge when n > 65536."""
+    return b"\x07" * 65_000 + bytes(n - 65_000)
+
+
+@WINDOWS
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(buffers)
+@example(bytes(255))
+@example(b"A" + bytes(256) + b"B")
+@example(bytes(510) + b"C")
+@example(straddling(65_535))
+@example(straddling(65_536))
+@example(straddling(65_537))
+@example(bytes(65_537))
+def test_rle0_encoder_matches_reference(monkeypatch, window, data):
+    if window:
+        monkeypatch.setattr(codec, "_WINDOW", window)
+    body = reference_rle0_encode(data)
+    if len(body) >= len(data) and data:
+        expected = bytes((CODEC_STORED, 0)) + len(data).to_bytes(4, "little") + data
+    else:
+        expected = bytes((CODEC_RLE0, 0)) + len(data).to_bytes(4, "little") + body
+    assert compress(data, CODEC_RLE0) == expected
+
+
+@WINDOWS
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    st.lists(st.sampled_from([0, 0, 1, 2, 255]) | st.integers(0, 255), max_size=16).map(bytes),
+    st.data(),
+)
+def test_rle0_decoder_matches_reference(monkeypatch, window, body, data):
+    if window:
+        monkeypatch.setattr(codec, "_WINDOW", window)
+    expected = reference_rle0_decode(body)
+    raw_len = data.draw(st.integers(0, 16) | st.integers(0, 2040) | st.just(len(expected or b"")))
+    block = bytes((CODEC_RLE0, 0)) + raw_len.to_bytes(4, "little") + body
+    if expected is None or len(expected) != raw_len:
+        with pytest.raises(CorruptBlock):
+            decompress(block)
+    else:
+        assert decompress(block) == expected
+
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def test_rle0_memory_stays_bounded():
+    # Every zero is a run of one: one split over the whole input would
+    # make a piece per byte.
+    data = b"\x00\x01" * (2 << 20)
+    assert traced_peak(compress, data, CODEC_RLE0) <= 4 * len(data)
+    body = codec._rle0_encode(data)
+
+    def reject():
+        with pytest.raises(CorruptBlock):
+            codec._rle0_decode(body, 10)
+
+    assert traced_peak(reject) <= 4 << 20
+    # One run longer than a window: growing the window to the run's end
+    # would make a piece per 255 input bytes.
+    zeros = bytes(4 << 20)
+    assert traced_peak(compress, zeros, CODEC_RLE0) <= 1 << 20
+
+
 # --- adversarial decompress --------------------------------------------------
 
 def test_decompress_short_blocks():
@@ -179,6 +304,7 @@ def test_decompress_rejects_wrong_decoded_length():
     [
         b"\x00",  # marker without count
         b"\x00\x00",  # zero-length run
+        b"\x00\xff\x00\x2c\x00",  # 299 zeros, then a marker read as byte 300
     ],
 )
 def test_rle0_rejects_malformed_bodies(body):
