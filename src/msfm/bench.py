@@ -503,15 +503,11 @@ def _run_tcp(spec: BenchSpec) -> BenchReport:
     instance mode), so in-flight requests equal iodepth.  Failed puts
     count as errors and contribute no latency sample.
     """
-    server_cfg = ServerConfig(
-        workers=max(4, spec.sim.server_workers),
-        max_inflight=max(64, 2 * spec.iodepth),
-    )
     counter = itertools.count()
     latencies: list[list[float]] = [[] for _ in range(spec.iodepth)]
     errors = [0] * spec.iodepth
 
-    with Server(server_cfg, default_registry()) as server:
+    with Server(ServerConfig(), default_registry()) as server:
         client = None
         if spec.mode == MODE_INSTANCE:
             client = Client(

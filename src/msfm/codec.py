@@ -123,7 +123,7 @@ def decompress(block: bytes) -> bytes:
     codec_id, flags, raw_len = _HEADER.unpack_from(block)
     if flags != 0:
         raise MalformedBlock(f"reserved flags byte is {flags:#04x}")
-    body = block[HEADER_SIZE:]
+    body = memoryview(block)[HEADER_SIZE:]  # no copy of a large body
     if codec_id == CODEC_STORED:
         if len(body) != raw_len:
             raise CorruptBlock(f"stored body is {len(body)} bytes, header says {raw_len}")
@@ -164,7 +164,7 @@ def _rle0_encode(data: bytes) -> bytes:
     return b"".join(out)
 
 
-def _rle0_decode(body: bytes, raw_len: int) -> bytes:
+def _rle0_decode(body: bytes | memoryview, raw_len: int) -> bytes:
     if body[-1:] == b"\x00":
         raise CorruptBlock("zero-run marker at end of body")
     out = []
@@ -231,7 +231,7 @@ def _flush_literals(out: bytearray, literals: bytearray) -> None:
     literals.clear()
 
 
-def _lz_decode(body: bytes, raw_len: int) -> bytes:
+def _lz_decode(body: bytes | memoryview, raw_len: int) -> bytes:
     out = bytearray()
     i = 0
     n = len(body)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 import threading
 import urllib.parse
@@ -262,10 +263,18 @@ class ObjectStore:
         return self._root / "manifests" / (urllib.parse.quote(name, safe="") + ".json")
 
     def _save_manifest(self, manifest: ObjectManifest) -> None:
+        """Replace the manifest whole: a failed write keeps the old one."""
+        if self._root is not None:
+            path = self._manifest_path(manifest.name)
+            tmp = path.with_name(f"{path.name}.{threading.get_ident()}.tmp")
+            try:
+                tmp.write_text(manifest.to_json())
+                os.replace(tmp, path)
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
         with self._lock:
             self._manifests[manifest.name] = manifest
-        if self._root is not None:
-            self._manifest_path(manifest.name).write_text(manifest.to_json())
 
     def manifest(self, name: str) -> ObjectManifest:
         with self._lock:

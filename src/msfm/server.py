@@ -10,15 +10,11 @@ function ids onto the codec and erasure-coding modules:
     4 ec_decode    present shards (ascending index) -> data bytes
 
 `Server` wraps dispatch in a TCP front end with one reader thread per
-connection.  By default (workers=1) that reader runs dispatch itself
-and answers every frame decoded from one recv with one write, in
-request order.  With workers > 1 the reader feeds a shared worker pool
-instead, and each response is written under a per-connection lock as
-it finishes — possibly out of request order; the correlation id is the
-pairing contract.  Requests beyond the per-connection in-flight limit
-are answered immediately with ServerBusy rather than queued, keeping
-memory bounded by (connections x in-flight x frame size); an inline
-reader reads nothing more until its batch is answered.
+connection, and that reader is the only dispatch path: it runs
+dispatch on every frame decoded from one recv and answers them with
+one write, in request order, before it reads again, so each
+connection holds at most one batch.  The correlation id, not the
+order, is the pairing contract.
 
 A frame that fails to decode kills its connection: the frames decoded
 before it are still answered, then the server sends a best-effort
@@ -29,12 +25,9 @@ from __future__ import annotations
 
 import argparse
 import logging
-import random
 import signal
 import socket
 import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -140,30 +133,15 @@ def dispatch(request: Frame, registry: dict[int, Handler]) -> Frame:
 
 @dataclass
 class ServerConfig:
-    """Listener and resource limits; every limit must be >= 1.
-
-    workers=1 dispatches on each connection's reader thread and answers
-    all the frames decoded from one recv with one write; workers=N > 1
-    dispatches on a shared pool of N threads, one write per response.
-    """
+    """Listener and resource limits; every limit must be >= 1."""
 
     host: str = "127.0.0.1"
     port: int = 0
     max_connections: int = 64
-    max_inflight: int = 32
     max_frame_bytes: int = protocol.DEFAULT_MAX_BODY
-    workers: int = 1
-    response_jitter_ms: float = 0.0
-    jitter_seed: int | None = None
 
     def __post_init__(self) -> None:
-        limits = (
-            self.max_connections,
-            self.max_inflight,
-            self.max_frame_bytes,
-            self.workers,
-        )
-        if min(limits) < 1:
+        if min(self.max_connections, self.max_frame_bytes) < 1:
             raise ValueError("all server limits must be >= 1")
 
 
@@ -171,9 +149,9 @@ class Server:
     """Threaded TCP server around a function registry.
 
     Use as a context manager or call start()/stop().  stop() drains:
-    requests already admitted finish and their responses are flushed
-    before sockets close; a request that arrives while a connection
-    drains is answered with ServerBusy.
+    each connection's reader answers the requests it has already read,
+    then the socket closes; a request not yet read when stop() begins
+    sees the connection close.
     """
 
     def __init__(self, config: ServerConfig, registry: dict[int, Handler]):
@@ -183,11 +161,7 @@ class Server:
         self._accept_thread: threading.Thread | None = None
         self._connections: set[_Connection] = set()
         self._conn_lock = threading.Lock()
-        self._pool: ThreadPoolExecutor | None = None
         self._stopping = threading.Event()
-        self._jitter = (
-            random.Random(config.jitter_seed) if config.response_jitter_ms else None
-        )
 
     @property
     def address(self) -> tuple[str, int]:
@@ -204,10 +178,6 @@ class Server:
         # accept(); poll with a timeout so stop() terminates the loop.
         listener.settimeout(0.2)
         self._listener = listener
-        if self.config.workers > 1:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.config.workers, thread_name_prefix="msfm-worker"
-            )
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="msfm-accept", daemon=True
         )
@@ -216,7 +186,7 @@ class Server:
         return self
 
     def stop(self) -> None:
-        """Stop accepting, drain in-flight requests, close everything."""
+        """Stop accepting, answer what each connection has read, close."""
         if self._stopping.is_set():
             return
         self._stopping.set()
@@ -228,8 +198,6 @@ class Server:
             connections = list(self._connections)
         for conn in connections:
             conn.drain_and_close()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "Server":
         return self.start()
@@ -263,33 +231,24 @@ class Server:
         with self._conn_lock:
             self._connections.discard(conn)
 
-    def _sleep_jitter(self) -> None:
-        if self._jitter is not None:
-            time.sleep(self._jitter.uniform(0, self.config.response_jitter_ms) / 1000)
-
 
 class _Connection:
-    """One client connection: reader thread, in-flight count, writer lock."""
+    """One client connection and the reader thread that serves it."""
 
     def __init__(self, server: Server, sock: socket.socket):
         self._server = server
         self._sock = sock
-        self._write_lock = threading.Lock()
-        # Admitted batches whose responses are not yet written.
-        self._inflight = 0
-        self._idle = threading.Condition()
-        self._reader: threading.Thread | None = None
-        self._closed = threading.Event()
-
-    def start(self) -> None:
         self._reader = threading.Thread(
             target=self._read_loop, name="msfm-conn-reader", daemon=True
         )
+        self._closed = threading.Event()
+
+    def start(self) -> None:
         self._reader.start()
 
     def _read_loop(self) -> None:
         decoder = FrameDecoder(self._server.config.max_frame_bytes)
-        inline = self._server._pool is None
+        registry = self._server.registry
         try:
             while not self._closed.is_set():
                 try:
@@ -305,11 +264,10 @@ class _Connection:
                         frames.append(frame)
                 finally:
                     # Frames decoded before a bad one are still answered.
-                    for batch in [frames] if inline else [[f] for f in frames]:
-                        self._admit(batch)
+                    if frames:
+                        self._write([dispatch(f, registry) for f in frames])
         except protocol.ProtocolError as exc:
             log.warning("closing connection after decode error: %s", exc)
-            self._wait_idle()
             # Best effort; correlation id 0 stands for the connection.
             detail = str(exc).encode("utf-8")
             self._write(
@@ -318,73 +276,34 @@ class _Connection:
         finally:
             self._finish()
 
-    def _admit(self, frames: list[Frame]) -> None:
-        """Run one batch on the reader or the pool, or answer it busy."""
-        if not frames:
-            return
-        with self._idle:
-            admitted = (
-                self._inflight < self._server.config.max_inflight
-                and not self._closed.is_set()
-            )
-            if admitted:
-                self._inflight += 1
-        if not admitted:
-            why = "in-flight limit reached"
-            self._write(
-                [protocol.response(f, Status.SERVER_BUSY, detail=why) for f in frames]
-            )
-        elif self._server._pool is None:
-            self._process(frames)
-        else:
-            self._server._pool.submit(self._process, frames)
-
-    def _process(self, frames: list[Frame]) -> None:
-        try:
-            responses = [dispatch(frame, self._server.registry) for frame in frames]
-            self._server._sleep_jitter()
-            self._write(responses)
-        finally:
-            with self._idle:
-                self._inflight -= 1
-                self._idle.notify_all()
-
     def _write(self, frames: list[Frame]) -> None:
         encoded = b"".join(protocol.encode_frame(frame) for frame in frames)
         try:
-            with self._write_lock:
-                self._sock.sendall(encoded)
+            self._sock.sendall(encoded)
         except OSError:
             pass  # peer went away; nothing useful left to do
 
-    def _wait_idle(self) -> None:
-        with self._idle:
-            self._idle.wait_for(lambda: not self._inflight)
-
     def drain_and_close(self) -> None:
-        """Wait for admitted requests to answer, then close the socket.
+        """Let the reader answer what it has read, then wait for it to close.
 
-        Each admitted batch counts as in flight until its responses are
-        written; once closed is set no batch is admitted, so a frame
-        read meanwhile is answered with ServerBusy.
+        Shutting the read side wakes a reader blocked in recv; a reader
+        still dispatching writes its batch, sees closed set and stops.
         """
         self._closed.set()
-        self._wait_idle()
-        self._shutdown_socket()
-        if self._reader is not None and self._reader is not threading.current_thread():
-            self._reader.join(timeout=5)
+        try:
+            self._sock.shutdown(socket.SHUT_RD)
+        except OSError:
+            pass  # the reader has closed the socket already
+        self._reader.join()
 
     def _finish(self) -> None:
         self._closed.set()
-        self._shutdown_socket()
-        self._server._forget(self)
-
-    def _shutdown_socket(self) -> None:
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
         self._sock.close()
+        self._server._forget(self)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -403,23 +322,8 @@ def main(argv: list[str] | None = None) -> int:
         default="compress,ec",
         help="comma-separated function groups to enable (default %(default)s)",
     )
-    parser.add_argument("--max-inflight", type=int, default=32, metavar="N")
     parser.add_argument("--max-frame-mb", type=int, default=64, metavar="N")
     parser.add_argument("--max-connections", type=int, default=64, metavar="N")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="1 dispatches on each connection's reader, one write per batch of "
-        "requests; N > 1 dispatches on a pool of N threads (default %(default)s)",
-    )
-    parser.add_argument(
-        "--jitter-ms",
-        type=float,
-        default=0.0,
-        help="random extra delay before each response, for reorder testing",
-    )
     parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args(argv)
 
@@ -432,18 +336,16 @@ def main(argv: list[str] | None = None) -> int:
         host=host or "127.0.0.1",
         port=int(port),
         max_connections=args.max_connections,
-        max_inflight=args.max_inflight,
         max_frame_bytes=args.max_frame_mb * 1024 * 1024,
-        workers=args.workers,
-        response_jitter_ms=args.jitter_ms,
     )
     server = Server(config, default_registry(args.functions))
     server.start()
-    print(f"msfm-server listening on {server.address[0]}:{server.address[1]}")
-
     stop = threading.Event()
     signal.signal(signal.SIGINT, lambda *_: stop.set())
     signal.signal(signal.SIGTERM, lambda *_: stop.set())
+    # Flushed, so a supervisor reading a pipe learns an ephemeral port,
+    # and printed last, so it may send SIGTERM as soon as it does.
+    print("msfm-server listening on %s:%d" % server.address, flush=True)
     try:
         stop.wait()
     finally:

@@ -1,13 +1,16 @@
-"""In-memory stand-in for a TCP connection to an msfm server, for client tests."""
+"""Test transports: an in-memory msfm server, and a TCP link that reorders."""
 
+import heapq
+import itertools
 import queue
 import random
+import select
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 from msfm import protocol
-from msfm.client import Transport
+from msfm.client import TcpTransport, Transport
 from msfm.protocol import Frame, FrameDecoder
 from msfm.server import Handler, default_registry, dispatch
 
@@ -78,3 +81,53 @@ class LoopbackTransport(Transport):
         self._closed = True
         self._pool.shutdown(wait=False)
         self._out.put(b"")
+
+
+class JitterTransport(TcpTransport):
+    """A TCP connection that holds each response frame for a random delay.
+
+    Every frame read from the server is released a seeded uniform
+    0..`jitter_ms` after it arrived, so frames that arrive close
+    together come out of recv() in a different order.  `reordered`
+    counts the frames released while an earlier arrival was still held.
+    """
+
+    def __init__(self, host: str, port: int, *, jitter_ms: float, seed: int = 0):
+        super().__init__(host, port)
+        self._jitter = jitter_ms / 1000.0
+        self._rng = random.Random(seed)
+        self._arrivals = itertools.count()
+        self._decoder = FrameDecoder()
+        self._held: list[tuple[float, int, bytes]] = []  # (due, arrival, frame)
+        self._eof = False
+        self.reordered = 0
+
+    def recv(self) -> bytes:
+        while True:
+            now = time.monotonic()
+            if self._held and (self._eof or self._held[0][0] <= now):
+                _, arrival, data = heapq.heappop(self._held)
+                if any(earlier < arrival for _, earlier, _ in self._held):
+                    self.reordered += 1
+                return data
+            if self._eof:
+                return b""
+            timeout = self._held[0][0] - now if self._held else None
+            try:
+                readable = select.select([self._sock], [], [], timeout)[0]
+            except (OSError, ValueError):  # closed by the client meanwhile
+                readable, self._eof = [], True
+            if readable:
+                self._read()
+
+    def _read(self) -> None:
+        chunk = super().recv()
+        if not chunk:
+            self._eof = True
+            return
+        self._decoder.feed(chunk)
+        now = time.monotonic()
+        while (frame := self._decoder.next_frame()) is not None:
+            due = now + self._rng.uniform(0, self._jitter)
+            entry = (due, next(self._arrivals), protocol.encode_frame(frame))
+            heapq.heappush(self._held, entry)

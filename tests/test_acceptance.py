@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import pytest
 
+from loopback import JitterTransport
 from msfm import bench, codec, gfec, protocol
 from msfm.bench import BenchSpec, SimParams
 from msfm.client import MODE_REMOTE, Client, ClientConfig
@@ -101,8 +102,7 @@ def test_codec_roundtrip_and_expansion_bound():
 def test_remote_and_in_process_execution_are_byte_identical():
     with budget(60):
         rng = random.Random(0x10DE)
-        config = ServerConfig(max_inflight=64)
-        with Server(config, default_registry()) as server:
+        with Server(ServerConfig(), default_registry()) as server:
             remote = Client(
                 ClientConfig(mode=MODE_REMOTE, address=server.address,
                              timeout_ms=30_000.0)
@@ -157,17 +157,15 @@ def test_erasure_objects_survive_double_kills_only():
 
 def test_pipelined_responses_pair_with_requests_under_reordering():
     with budget(30):
-        config = ServerConfig(
-            max_inflight=64, workers=4, response_jitter_ms=2.0, jitter_seed=7
-        )
-        with Server(config, default_registry()) as server:
+        with Server(ServerConfig(), default_registry()) as server:
+            # The server answers each connection in order; the transport
+            # reorders its responses on the way to the client.
+            transport = JitterTransport(*server.address, jitter_ms=2.0, seed=7)
             client = Client(
                 ClientConfig(
-                    mode=MODE_REMOTE,
-                    address=server.address,
-                    timeout_ms=30_000.0,
-                    max_queue_depth=64,
-                )
+                    mode=MODE_REMOTE, timeout_ms=30_000.0, max_queue_depth=64
+                ),
+                transport=transport,
             )
             failures: list[str] = []
 
@@ -193,6 +191,7 @@ def test_pipelined_responses_pair_with_requests_under_reordering():
             finally:
                 client.close()
             assert failures == []
+            assert transport.reordered > 0
 
 
 def test_offload_cost_trends_match_published_shape():

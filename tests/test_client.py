@@ -284,7 +284,7 @@ def test_unencodable_request_fails_alone(mode):
 # --- remote mode against the real TCP server ----------------------------------
 
 def test_tcp_client_against_live_server():
-    with Server(ServerConfig(workers=4), default_registry()) as server:
+    with Server(ServerConfig(), default_registry()) as server:
         config = ClientConfig(mode="remote", address=server.address)
         with Client(config) as client:
             data = random.Random(1).randbytes(10000)

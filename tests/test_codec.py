@@ -259,6 +259,15 @@ def test_rle0_memory_stays_bounded():
             codec._rle0_decode(body, 10)
 
     assert traced_peak(reject) <= 4 << 20
+    # The same rejection through decompress: a copy of the 6 MiB body
+    # alone would break the bound.
+    block = codec._HEADER.pack(CODEC_RLE0, 0, 10) + body
+
+    def reject_block():
+        with pytest.raises(CorruptBlock):
+            decompress(block)
+
+    assert traced_peak(reject_block) <= len(body) // 2
     # One run longer than a window: growing the window to the run's end
     # would make a piece per 255 input bytes.
     zeros = bytes(4 << 20)

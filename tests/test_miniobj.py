@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -162,7 +163,7 @@ def test_kill_unknown_osd():
 def test_stored_bytes_identical_in_process_vs_remote():
     rng = random.Random(41)
     data = rng.randbytes(30000)
-    with Server(ServerConfig(workers=4), default_registry()) as server:
+    with Server(ServerConfig(), default_registry()) as server:
         with Client(ClientConfig(mode="remote", address=server.address)) as remote:
             for make_policy in (
                 lambda c: ObjectPolicy.compress(codec.CODEC_LZ, c),
@@ -252,6 +253,23 @@ def test_file_backed_kill_state_persists(tmp_path):
     first.kill_osd(0)
     second = ObjectStore(osd_count=3, root=tmp_path)
     assert [osd.alive for osd in second.osds] == [False, True, True]
+
+
+def test_failed_manifest_write_keeps_the_previous_manifest(tmp_path, monkeypatch):
+    store = ObjectStore(osd_count=6, root=tmp_path)
+    first = store.put("obj", b"first version", ObjectPolicy.none())
+    write_text = Path.write_text
+
+    def torn_write(path, text, *args, **kwargs):
+        write_text(path, text[: len(text) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", torn_write)
+    with pytest.raises(OSError):
+        store.put("obj", b"a longer second version", ObjectPolicy.none())
+    monkeypatch.undo()
+    assert store.manifest("obj") == first
+    assert ObjectStore(osd_count=6, root=tmp_path).manifest("obj") == first
 
 
 def test_cli_roundtrip(tmp_path, capsys):

@@ -1,15 +1,22 @@
 """Dispatch semantics and the TCP server's connection behavior."""
 
+import os
 import random
+import select
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msfm import codec, gfec, protocol
+from msfm.client import MODE_REMOTE, Client, ClientConfig
 from msfm.protocol import Frame, FrameDecoder, FunctionId, Status
 from msfm.server import Server, ServerConfig, default_registry, dispatch
 
@@ -236,7 +243,7 @@ def test_smoke_one_request():
 
 def test_hundred_pipelined_requests_one_connection():
     rng = random.Random(3)
-    with Server(ServerConfig(workers=8, max_inflight=128), REGISTRY) as server:
+    with Server(ServerConfig(), REGISTRY) as server:
         client = RawClient(server.address)
         payloads = {cid: rng.randbytes(rng.randrange(1, 2000)) for cid in range(100)}
         client.send(
@@ -247,28 +254,6 @@ def test_hundred_pipelined_requests_one_connection():
         )
         responses = client.recv_frames(100)
         assert sorted(r.correlation_id for r in responses) == list(range(100))
-        for resp in responses:
-            assert codec.decompress(resp.payload) == payloads[resp.correlation_id]
-        client.close()
-
-
-def test_jitter_reorders_but_pairing_holds():
-    config = ServerConfig(
-        workers=8, max_inflight=64, response_jitter_ms=10, jitter_seed=1
-    )
-    with Server(config, REGISTRY) as server:
-        client = RawClient(server.address)
-        payloads = {cid: bytes([cid]) * 64 for cid in range(40)}
-        client.send(
-            *(
-                req(FunctionId.COMPRESS, cid, protocol.CompressParams(1), data)
-                for cid, data in payloads.items()
-            )
-        )
-        responses = client.recv_frames(40)
-        order = [r.correlation_id for r in responses]
-        assert sorted(order) == list(range(40))
-        assert order != list(range(40)), "jitter produced no reordering"
         for resp in responses:
             assert codec.decompress(resp.payload) == payloads[resp.correlation_id]
         client.close()
@@ -306,15 +291,15 @@ def test_default_server_dispatches_inline_in_request_order():
         client.close()
 
 
-@pytest.mark.parametrize("workers", [1, 4], ids=["inline", "pool"])
-def test_frames_before_a_corrupt_frame_are_answered(workers):
+# One dispatch path is left; the id keeps the test's established name.
+@pytest.mark.parametrize("path", ["inline"])
+def test_frames_before_a_corrupt_frame_are_answered(path):
     def slow_compress(params, payload):
         # Still running when the reader meets the corrupt frame.
         time.sleep(0.1)
         return codec.compress(payload, params.codec_id)
 
-    config = ServerConfig(workers=workers)
-    with Server(config, {FunctionId.COMPRESS: slow_compress}) as server:
+    with Server(ServerConfig(), {FunctionId.COMPRESS: slow_compress}) as server:
         client = RawClient(server.address)
         good = protocol.encode_frame(
             req(FunctionId.COMPRESS, 1, protocol.CompressParams(1), b"a" * 100)
@@ -358,7 +343,9 @@ def test_corrupt_frame_closes_connection_after_prior_responses():
         client.close()
 
 
-def test_busy_when_inflight_limit_exceeded():
+# One dispatch path is left; the id keeps the test's established name.
+@pytest.mark.parametrize("path", ["inline"])
+def test_stop_flushes_admitted_requests_before_closing(path):
     started = threading.Event()
     release = threading.Event()
 
@@ -367,34 +354,7 @@ def test_busy_when_inflight_limit_exceeded():
         release.wait(10)
         return b"done"
 
-    config = ServerConfig(max_inflight=1, workers=4)
-    with Server(config, {1: stalling_handler}) as server:
-        client = RawClient(server.address)
-        client.send(req(1, 1, b"\x01"))
-        assert started.wait(5)
-        client.send(req(1, 2, b"\x01"))
-        (busy,) = client.recv_frames(1)
-        assert busy.correlation_id == 2
-        assert busy.status == Status.SERVER_BUSY
-        release.set()
-        (done,) = client.recv_frames(1)
-        assert done.correlation_id == 1
-        assert done.status == Status.OK
-        assert done.payload == b"done"
-        client.close()
-
-
-@pytest.mark.parametrize("workers", [1, 4], ids=["inline", "pool"])
-def test_stop_flushes_admitted_requests_before_closing(workers):
-    started = threading.Event()
-    release = threading.Event()
-
-    def stalling_handler(params, payload):
-        started.set()
-        release.wait(10)
-        return b"done"
-
-    server = Server(ServerConfig(workers=workers), {1: stalling_handler}).start()
+    server = Server(ServerConfig(), {1: stalling_handler}).start()
     client = RawClient(server.address)
     client.send(req(1, 1, b"\x01"))
     assert started.wait(5)
@@ -413,7 +373,7 @@ def test_stop_flushes_admitted_requests_before_closing(workers):
 
 
 def test_many_concurrent_connections():
-    with Server(ServerConfig(workers=8), REGISTRY) as server:
+    with Server(ServerConfig(), REGISTRY) as server:
         results = []
         lock = threading.Lock()
 
@@ -435,5 +395,36 @@ def test_many_concurrent_connections():
 
 
 def test_config_rejects_zero_limits():
-    with pytest.raises(ValueError):
-        ServerConfig(max_inflight=0)
+    for limit in ("max_connections", "max_frame_bytes"):
+        with pytest.raises(ValueError):
+            ServerConfig(**{limit: 0})
+
+
+def test_server_cli_reports_its_port_through_a_pipe_and_stops_on_sigterm():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "msfm.server", "--listen", "127.0.0.1:0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        env=env,
+    )
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 5)
+        assert ready, "no listening line within 5 s"
+        line = proc.stdout.readline().decode()
+        assert line.startswith("msfm-server listening on "), line
+        host, _, port = line.split()[-1].rpartition(":")
+        config = ClientConfig(mode=MODE_REMOTE, address=(host, int(port)))
+        with Client(config) as client:
+            data = bytes(1000) + b"tail"
+            block = client.call(FunctionId.COMPRESS, protocol.CompressParams(1), data)
+        assert codec.decompress(block) == data
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
