@@ -1,16 +1,23 @@
-"""Client SDK: per-call Instances sent from the caller's own thread.
+"""Client SDK: per-call Instances, sent and awaited on the caller's thread.
 
 The caller-facing half of the offload path:
 
     caller ──submit──▶ request frame ──send──▶ transport ──▶ server
                                                              │
-    caller ◀─await── Instance ◀───reader──── transport ◀─────┘
+    caller ◀─await── Instance ◀───recv────── transport ◀─────┘
 
 `submit` assigns the call a correlation id, builds its request frame
 and writes it onto the single connection under a send lock before
 returning the Instance, so many requests may be in flight at once
-(pipelined).  One reader thread pairs each response to its Instance by
-correlation id, regardless of arrival order.
+(pipelined).  Responses are read by the callers themselves, in the
+leader/followers pattern: of the threads awaiting an Instance, one at
+a time holds the read lock and reads the connection, pairing each
+response to its Instance by correlation id regardless of arrival
+order; the others sleep on one condition until a response of theirs
+arrives or the reader leaves and one of them takes over.  A remote
+Client therefore starts no thread.  The server stops reading requests
+while its answers go unread, so a sender whose write stalls reads them
+too: one thread may pipeline any number of calls before it awaits any.
 
 Two execution modes share one API.  Remote mode sends frames through a
 Transport (TCP, or a test double).  In-process mode — the monolithic
@@ -33,11 +40,13 @@ settings, failover is out of scope).
 from __future__ import annotations
 
 import itertools
+import select
 import socket
 import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from . import protocol
 from .protocol import Frame, FrameDecoder, Status
@@ -102,14 +111,15 @@ def error_for_status(status: int, detail: str) -> RemoteError:
 
 
 class Clock:
-    """Time source used for timeouts; swap out for deterministic tests."""
+    """Time source for deadlines and connect backoff; swap out in tests.
+
+    Awaits do not sleep through the clock: they block in the
+    transport's `recv` or on the client's condition, each bounded by
+    the time left before the deadline that `now` measures.
+    """
 
     def now(self) -> float:
         return time.monotonic()
-
-    def wait(self, event: threading.Event, timeout: float | None) -> bool:
-        """Block until the event is set or timeout seconds pass."""
-        return event.wait(timeout)
 
     def sleep(self, seconds: float) -> None:
         time.sleep(seconds)
@@ -118,11 +128,22 @@ class Clock:
 class Transport:
     """Duplex byte stream to a server.  All methods may block."""
 
-    def send(self, data: bytes) -> None:
+    def send(self, data: bytes, stalled: Callable[[], None]) -> None:
+        """Write all of `data`, calling `stalled` while the peer takes none.
+
+        A server stops reading requests while its answers go unread, so
+        `stalled` is called when answers are waiting and the write cannot
+        go on; it should read them.
+        """
         raise NotImplementedError
 
-    def recv(self) -> bytes:
-        """Next chunk of response bytes; b'' once the peer is gone."""
+    def recv(self, timeout: float) -> bytes | None:
+        """Next chunk of response bytes, waiting at most `timeout` seconds.
+
+        Returns None if the timeout passes first, and b'' once the peer
+        is gone or close() was called, which also wakes a blocked recv.
+        The chunk may be a view that the next recv overwrites.
+        """
         raise NotImplementedError
 
     def close(self) -> None:
@@ -132,17 +153,37 @@ class Transport:
 class TcpTransport(Transport):
     def __init__(self, host: str, port: int, connect_timeout: float = 5.0):
         self._sock = socket.create_connection((host, port), timeout=connect_timeout)
+        # No socket timeout: recv bounds its own wait in poll, and a send
+        # may take as long as the server needs to read the request.
         self._sock.settimeout(None)
         # Pipelined requests are small writes sent back to back; with
         # Nagle on, each burst would wait for the server's delayed ACK.
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._poll = select.poll()
+        self._poll.register(self._sock, select.POLLIN)
+        self._send_poll = select.poll()
+        self._send_poll.register(self._sock, select.POLLIN | select.POLLOUT)
+        # One read takes in a whole 64 KiB frame, with no allocation.
+        self._chunk = memoryview(bytearray(1 << 17))
 
-    def send(self, data: bytes) -> None:
-        self._sock.sendall(data)
+    def send(self, data: bytes, stalled: Callable[[], None]) -> None:
+        view = memoryview(data)
+        while True:
+            try:
+                view = view[self._sock.send(view, socket.MSG_DONTWAIT) :]
+            except BlockingIOError:
+                pass
+            if not view:
+                return
+            for _, events in self._send_poll.poll():
+                if events & select.POLLIN and not events & select.POLLOUT:
+                    stalled()
 
-    def recv(self) -> bytes:
+    def recv(self, timeout: float) -> bytes | None:
         try:
-            return self._sock.recv(65536)
+            if not self._poll.poll(max(timeout, 0.0) * 1000.0):
+                return None
+            return self._chunk[: self._sock.recv_into(self._chunk)]
         except OSError:
             return b""
 
@@ -203,7 +244,6 @@ class Instance:
         self._client = client
         self._lock = threading.Lock()
         self._state = InstanceState.SENT
-        self._done = threading.Event()
         self._payload: bytes | None = None
         self._error: ClientError | None = None
 
@@ -223,18 +263,24 @@ class Instance:
         payload: bytes | None = None,
         error: ClientError | None = None,
     ) -> bool:
-        """Move to a terminal state; False if one was already reached."""
+        """Move to a terminal state; False if one was already reached.
+
+        Whoever finishes another thread's Instance must then notify the
+        client's `_turn` condition, which its waiter sleeps on.
+        """
         with self._lock:
             if self._state is not InstanceState.SENT:
                 return False
             self._state = state
             self._payload = payload
             self._error = error
-        self._done.set()
         return True
 
     def await_result(self, timeout_ms: float | None = None) -> bytes:
         """Block until terminal; return the payload or raise the error.
+
+        In remote mode the caller may read the connection itself while
+        it waits (see Client), never past its deadline.
 
         Args:
             timeout_ms: Deadline for this wait; defaults to the
@@ -248,14 +294,15 @@ class Instance:
             TransportError, ClientClosed: The connection or client
                 went away before a response arrived.
         """
-        if timeout_ms is None:
-            timeout_ms = self._client.config.timeout_ms
-        if not self._done.is_set():
-            if not self._client._clock.wait(self._done, timeout_ms / 1000.0):
-                if self._finish(InstanceState.TIMED_OUT, error=TimedOut(
-                    f"no response within {timeout_ms:g} ms"
-                )):
-                    self._client._forget(self)
+        if self._state is InstanceState.SENT:
+            client = self._client
+            if timeout_ms is None:
+                timeout_ms = client.config.timeout_ms
+            client._await(self, client._clock.now() + timeout_ms / 1000.0)
+            if self._finish(InstanceState.TIMED_OUT, error=TimedOut(
+                f"no response within {timeout_ms:g} ms"
+            )):
+                client._forget(self)
         if self._error is not None:
             raise self._error
         return self._payload if self._payload is not None else b""
@@ -264,10 +311,11 @@ class Instance:
 class Client:
     """One connection's worth of pipelined function calls.
 
-    Remote mode runs one daemon thread, the response reader; submit
-    builds and sends each request on the caller's own thread.
-    In-process mode has no thread and executes during submit.
-    Thread-safe: submit/call may run from many threads at once.
+    Remote mode starts no thread: submit sends each request on the
+    caller's own thread, and the callers awaiting Instances take turns
+    reading responses (see the module docstring).  In-process mode
+    executes during submit.  Thread-safe: submit/call may run from many
+    threads at once.
     """
 
     def __init__(
@@ -286,18 +334,19 @@ class Client:
         self._pending: dict[int, Instance] = {}
         self._pending_lock = threading.Lock()
         self._send_lock = threading.Lock()
+        # Held by the one awaiting thread that reads the connection.
+        self._read_lock = threading.Lock()
+        # Awaiting threads that do not read sleep here until a response
+        # of theirs arrives or the read lock is handed over.
+        self._turn = threading.Condition(threading.Lock())
+        self._decoder = FrameDecoder()
         self._transport: Transport | None = None
-        self._reader: threading.Thread | None = None
 
         if config.mode == MODE_IN_PROCESS:
             self._registry = registry if registry is not None else default_registry()
             return
         self._registry = {}
         self._transport = transport or self._connect()
-        self._reader = threading.Thread(
-            target=self._recv_loop, name="msfm-reader", daemon=True
-        )
-        self._reader.start()
 
     def _connect(self) -> Transport:
         if self.config.address is None:
@@ -341,12 +390,8 @@ class Client:
                 f"{self.config.max_queue_depth} calls already being sent"
             )
         try:
-            # Correlation ids run 1 .. 2^32 - 1 and wrap back to 1: they
-            # must fit the u32 header field, and 0 is the id the server
-            # answers an undecodable frame with.
-            correlation_id = (next(self._ids) - 1) % _U32_MAX + 1
-            frame = protocol.request(function_id, correlation_id, params, payload)
-            instance = Instance(self, function_id, correlation_id)
+            frame = protocol.request(function_id, self._next_id(), params, payload)
+            instance = Instance(self, function_id, frame.correlation_id)
             if self.config.mode == MODE_IN_PROCESS:
                 self._deliver(instance, dispatch(frame, self._registry))
             else:
@@ -368,16 +413,18 @@ class Client:
         return self.submit(function_id, params, payload).await_result(timeout_ms)
 
     def close(self) -> None:
-        """Stop the client; all non-terminal instances fail ClientClosed."""
+        """Stop the client; all non-terminal instances fail ClientClosed.
+
+        Safe from any thread: closing the transport wakes a caller that
+        is blocked reading it.
+        """
         if self._closed.is_set():
             return
         self._closed.set()
         if self.config.mode == MODE_REMOTE:
             self._fail_all(ClientClosed("client closed"))
-            assert self._transport is not None and self._reader is not None
+            assert self._transport is not None
             self._transport.close()
-            if self._reader is not threading.current_thread():
-                self._reader.join(timeout=5)
 
     def __enter__(self) -> "Client":
         return self
@@ -387,6 +434,20 @@ class Client:
 
     # --- remote path -----------------------------------------------------------
 
+    def _next_id(self) -> int:
+        """The next correlation id that is not still in flight.
+
+        Ids run 1 .. 2^32 - 1 and wrap back to 1: they must fit the u32
+        header field, and 0 is the id the server answers an
+        undecodable frame with.  After a wrap, an id whose call is
+        still pending is skipped, so no response can pair with the
+        wrong call.
+        """
+        while True:
+            correlation_id = (next(self._ids) - 1) % _U32_MAX + 1
+            if correlation_id not in self._pending:
+                return correlation_id
+
     def _send(self, instance: Instance, frame: Frame) -> None:
         assert self._transport is not None
         data = protocol.encode_frame(frame)
@@ -394,26 +455,93 @@ class Client:
             self._pending[frame.correlation_id] = instance
         try:
             with self._send_lock:
-                self._transport.send(data)
+                self._transport.send(data, self._read_for_stalled_send)
         except OSError as exc:
             self._transport_failed(f"send failed: {exc}")
 
-    def _recv_loop(self) -> None:
+    def _read_for_stalled_send(self) -> None:
+        """Read the answers that keep the server from taking a request.
+
+        The sender holds the send lock, so any call a reader awaits was
+        sent before this request and is answered first: that reader
+        leaves, and the sender waits for the read lock.
+        """
+        if self._closed.is_set():
+            raise OSError("client closed")
+        self._read_lock.acquire()
+        try:
+            self._read_once(0.0)
+        finally:
+            self._hand_over()
+
+    def _await(self, instance: Instance, deadline: float) -> None:
+        """Return once `instance` is terminal or `deadline` has passed.
+
+        The calling thread reads the connection itself if no other
+        thread does; otherwise it sleeps on `_turn` until a reader
+        delivers a response or leaves.  A leaving reader releases the
+        read lock and notifies while it holds `_turn`'s lock, and a
+        thread sleeps there only after it saw, under that same lock,
+        the read lock held and its instance still sent; so no thread
+        misses its response or the hand-over.
+        """
+        while instance._state is InstanceState.SENT:
+            remaining = deadline - self._clock.now()
+            if remaining <= 0:
+                if not self._read_lock.locked():
+                    # A hand-over may have woken this thread as it timed
+                    # out; pass it on to a thread still waiting.
+                    with self._turn:
+                        self._turn.notify()
+                return
+            if self._read_lock.acquire(blocking=False):
+                try:
+                    while instance._state is InstanceState.SENT:
+                        remaining = deadline - self._clock.now()
+                        own = instance.correlation_id
+                        if remaining <= 0 or not self._read_once(remaining, own):
+                            break
+                finally:
+                    self._hand_over()
+                return
+            with self._turn:
+                if instance._state is InstanceState.SENT and self._read_lock.locked():
+                    self._turn.wait(remaining)
+
+    def _hand_over(self) -> None:
+        """Release the read lock and wake one waiter to take it."""
+        with self._turn:
+            self._read_lock.release()
+            self._turn.notify()
+
+    def _read_once(self, timeout: float, own: int = 0) -> bool:
+        """Read one chunk and deliver every response it completes.
+
+        The caller holds the read lock.  The waiters are woken if the
+        chunk held a response other than to `own`, the reader's own
+        correlation id (0 matches no call).  Returns False if nothing
+        came within `timeout` or the connection is gone.
+        """
         assert self._transport is not None
-        decoder = FrameDecoder()
-        while not self._closed.is_set():
-            data = self._transport.recv()
-            if not data:
-                if not self._closed.is_set():
-                    self._transport_failed("connection closed by server")
-                return
-            try:
-                decoder.feed(data)
-                while (frame := decoder.next_frame()) is not None:
-                    self._dispatch_response(frame)
-            except protocol.ProtocolError as exc:
-                self._transport_failed(f"undecodable response stream: {exc}")
-                return
+        data = self._transport.recv(timeout)
+        if data is None:
+            return False
+        if not data:
+            if not self._closed.is_set():
+                self._transport_failed("connection closed by server")
+            return False
+        others = False
+        try:
+            self._decoder.feed(data)
+            while (frame := self._decoder.next_frame()) is not None:
+                self._dispatch_response(frame)
+                others |= frame.correlation_id != own
+        except protocol.ProtocolError as exc:
+            self._transport_failed(f"undecodable response stream: {exc}")
+        if others:
+            with self._turn:
+                self._turn.notify_all()
+        return True
 
     def _dispatch_response(self, frame: Frame) -> None:
         with self._pending_lock:
@@ -442,6 +570,8 @@ class Client:
             self._pending.clear()
         for instance in pending:
             instance._finish(InstanceState.FAILED, error=error)
+        with self._turn:
+            self._turn.notify_all()
 
     def _forget(self, instance: Instance) -> None:
         with self._pending_lock:

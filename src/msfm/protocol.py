@@ -195,16 +195,25 @@ def _parse_header(buf: bytes | bytearray, max_body: int) -> _Header | None:
     return header
 
 
-def decode_frame(data: bytes, *, max_body: int = DEFAULT_MAX_BODY) -> Frame:
+def decode_frame(
+    data: bytes | bytearray | memoryview,
+    *,
+    max_body: int = DEFAULT_MAX_BODY,
+    header: _Header | None = None,
+) -> Frame:
     """Parse bytes that must contain exactly one encoded frame.
 
     Args:
         data: Untrusted bytes.
         max_body: Reject frames whose declared params + payload exceed
             this many bytes.
+        header: The fields of `data`'s header, already checked by
+            `_parse_header` against the same `max_body`.  FrameDecoder
+            passes them so that a streamed header is parsed once.
 
     Returns:
-        The unique Frame whose encoding equals `data`.
+        The unique Frame whose encoding equals `data`.  Its params and
+        payload are the only copies made: the checksum runs over a view.
 
     Raises:
         Truncated: Input shorter than the header or the declared lengths.
@@ -212,9 +221,10 @@ def decode_frame(data: bytes, *, max_body: int = DEFAULT_MAX_BODY) -> Frame:
             the declared lengths, or (FrameTooLarge) body over max_body.
         ChecksumMismatch: The frame's CRC-32 does not verify.
     """
-    header = _parse_header(data, max_body)
     if header is None:
-        raise Truncated(f"need {HEADER_SIZE} header bytes, have {len(data)}")
+        header = _parse_header(data, max_body)
+        if header is None:
+            raise Truncated(f"need {HEADER_SIZE} header bytes, have {len(data)}")
     params_end = HEADER_SIZE + header.params_len
     total = params_end + header.payload_len
     if len(data) < total:
@@ -222,9 +232,10 @@ def decode_frame(data: bytes, *, max_body: int = DEFAULT_MAX_BODY) -> Frame:
     if len(data) > total:
         raise MalformedFrame(f"{len(data) - total} trailing bytes after frame")
 
-    crc = zlib.crc32(data[:_CHECKSUM_OFFSET])
+    view = data if isinstance(data, memoryview) else memoryview(data)
+    crc = zlib.crc32(view[:_CHECKSUM_OFFSET])
     crc = zlib.crc32(b"\x00\x00\x00\x00", crc)
-    crc = zlib.crc32(data[HEADER_SIZE:total], crc)
+    crc = zlib.crc32(view[HEADER_SIZE:], crc)
     if crc != header.checksum:
         raise ChecksumMismatch(
             f"declared {header.checksum:#010x}, computed {crc:#010x}"
@@ -234,8 +245,8 @@ def decode_frame(data: bytes, *, max_body: int = DEFAULT_MAX_BODY) -> Frame:
         status=header.status,
         function_id=header.function_id,
         correlation_id=header.correlation_id,
-        params=bytes(data[HEADER_SIZE:params_end]),
-        payload=bytes(data[params_end:total]),
+        params=bytes(view[HEADER_SIZE:params_end]),
+        payload=bytes(view[params_end:]),
     )
 
 
@@ -269,7 +280,10 @@ class FrameDecoder:
         total = HEADER_SIZE + header.params_len + header.payload_len
         if len(buf) < total:
             return None
-        frame = decode_frame(bytes(buf[:total]), max_body=self._max_body)
+        # Release both views even when decode_frame raises, or the
+        # buffer could not be resized while the traceback lives.
+        with memoryview(buf) as view, view[:total] as frame_bytes:
+            frame = decode_frame(frame_bytes, max_body=self._max_body, header=header)
         del buf[:total]
         return frame
 

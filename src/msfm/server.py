@@ -249,15 +249,17 @@ class _Connection:
     def _read_loop(self) -> None:
         decoder = FrameDecoder(self._server.config.max_frame_bytes)
         registry = self._server.registry
+        # One read takes in a whole 64 KiB frame, with no allocation.
+        chunk = memoryview(bytearray(1 << 17))
         try:
             while not self._closed.is_set():
                 try:
-                    data = self._sock.recv(65536)
+                    size = self._sock.recv_into(chunk)
                 except OSError:
                     break
-                if not data:
+                if not size:
                     break
-                decoder.feed(data)
+                decoder.feed(chunk[:size])
                 frames: list[Frame] = []
                 try:
                     while (frame := decoder.next_frame()) is not None:

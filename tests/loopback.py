@@ -4,7 +4,6 @@ import heapq
 import itertools
 import queue
 import random
-import select
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -53,7 +52,7 @@ class LoopbackTransport(Transport):
         )
         self._closed = False
 
-    def send(self, data: bytes) -> None:
+    def send(self, data: bytes, stalled) -> None:
         self.send_entered.set()
         if self._send_gate is not None:
             self._send_gate.wait()
@@ -74,8 +73,11 @@ class LoopbackTransport(Transport):
         if not self._closed:
             self._out.put(protocol.encode_frame(response))
 
-    def recv(self) -> bytes:
-        return self._out.get()
+    def recv(self, timeout: float) -> bytes | None:
+        try:
+            return self._out.get(timeout=max(timeout, 0.0))
+        except queue.Empty:
+            return None
 
     def close(self) -> None:
         self._closed = True
@@ -102,7 +104,8 @@ class JitterTransport(TcpTransport):
         self._eof = False
         self.reordered = 0
 
-    def recv(self) -> bytes:
+    def recv(self, timeout: float) -> bytes | None:
+        deadline = time.monotonic() + timeout
         while True:
             now = time.monotonic()
             if self._held and (self._eof or self._held[0][0] <= now):
@@ -112,16 +115,14 @@ class JitterTransport(TcpTransport):
                 return data
             if self._eof:
                 return b""
-            timeout = self._held[0][0] - now if self._held else None
-            try:
-                readable = select.select([self._sock], [], [], timeout)[0]
-            except (OSError, ValueError):  # closed by the client meanwhile
-                readable, self._eof = [], True
-            if readable:
-                self._read()
+            if now >= deadline:
+                return None
+            due = min(self._held[0][0], deadline) if self._held else deadline
+            chunk = super().recv(due - now)
+            if chunk is not None:
+                self._read(chunk)
 
-    def _read(self) -> None:
-        chunk = super().recv()
+    def _read(self, chunk: bytes) -> None:
         if not chunk:
             self._eof = True
             return

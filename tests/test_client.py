@@ -22,6 +22,7 @@ from msfm.client import (
     InstanceState,
     TcpTransport,
     TimedOut,
+    Transport,
     TransportError,
     UnsupportedFunction,
 )
@@ -39,7 +40,7 @@ def loopback_client(transport=None, clock=None, **overrides) -> Client:
 
 
 class SteppingClock(Clock):
-    """Virtual clock: wait() never sleeps, it just advances time."""
+    """Virtual clock: sleep() never sleeps, it just advances time."""
 
     def __init__(self):
         self.t = 0.0
@@ -47,15 +48,57 @@ class SteppingClock(Clock):
     def now(self):
         return self.t
 
-    def wait(self, event, timeout):
-        if event.is_set():
-            return True
-        assert timeout is not None
-        self.t += timeout
-        return event.is_set()
-
     def sleep(self, seconds):
         self.t += seconds
+
+
+class SilentTransport(Transport):
+    """Swallows every request; recv(timeout) lets `timeout` pass on a virtual clock."""
+
+    def __init__(self, clock):
+        self.clock = clock
+
+    def send(self, data, stalled):
+        pass
+
+    def recv(self, timeout):
+        self.clock.t += timeout
+        return None
+
+    def close(self):
+        pass
+
+
+class HeldTransport(LoopbackTransport):
+    """Loopback that holds each response until its correlation id's gate opens.
+
+    `readers` collects the names of the threads that called recv().
+    """
+
+    def __init__(self, gates):
+        super().__init__(workers=len(gates))
+        self.gates = gates
+        self.readers = set()
+
+    def _serve(self, frame, delay):
+        self.gates[frame.correlation_id].wait(10)
+        super()._serve(frame, delay)
+
+    def recv(self, timeout):
+        self.readers.add(threading.current_thread().name)
+        return super().recv(timeout)
+
+
+class WaitSignallingCondition(threading.Condition):
+    """A Condition that sets `entered` whenever a thread starts to wait on it."""
+
+    def __init__(self):
+        super().__init__(threading.Lock())
+        self.entered = threading.Event()
+
+    def wait(self, timeout=None):
+        self.entered.set()
+        return super().wait(timeout)
 
 
 # --- in-process mode --------------------------------------------------------
@@ -169,7 +212,7 @@ def test_await_timeout_marks_instance_and_discards_late_response():
 
 def test_timeout_soundness_with_virtual_clock():
     clock = SteppingClock()
-    transport = LoopbackTransport(drop_all=True)
+    transport = SilentTransport(clock)
     client = loopback_client(transport=transport, clock=clock, timeout_ms=5000)
     instance = client.submit(FunctionId.COMPRESS, CompressParams(1), b"x")
     before = clock.now()
@@ -246,15 +289,120 @@ def test_concurrent_callers_pair_correctly():
     client.close()
 
 
-def test_remote_client_runs_only_the_reader_thread():
+def test_remote_client_starts_no_thread():
     before = set(threading.enumerate())
     with loopback_client() as client:
         for n in range(8):
-            block = client.call(FunctionId.COMPRESS, CompressParams(1), bytes([n]) * 64)
-            assert codec.decompress(block) == bytes([n]) * 64
+            instance = client.submit(
+                FunctionId.COMPRESS, CompressParams(1), bytes([n]) * 64
+            )
+            assert codec.decompress(instance.await_result()) == bytes([n]) * 64
+            assert not any(
+                isinstance(value, threading.Event) for value in vars(instance).values()
+            )
         started = set(threading.enumerate()) - before
-        names = [t.name for t in started if not t.name.startswith("loopback")]
-        assert names == ["msfm-reader"]
+        assert [t.name for t in started if not t.name.startswith("loopback")] == []
+
+
+def test_reader_wakes_waiting_callers_and_hands_over_when_it_leaves():
+    gates = {cid: threading.Event() for cid in (1, 2, 3)}
+    transport = HeldTransport(gates)
+    client = loopback_client(transport=transport)
+    client._turn = turn = WaitSignallingCondition()
+    results = {}
+
+    def call(data):
+        try:
+            block = client.call(FunctionId.COMPRESS, CompressParams(1), data, 5000)
+            result = codec.decompress(block)
+        except Exception as exc:  # noqa: BLE001 — checked below
+            result = exc
+        results[threading.current_thread().name] = (result, time.monotonic())
+
+    def start(name, data):
+        thread = threading.Thread(target=call, args=(data,), name=name)
+        thread.start()
+        return thread
+
+    def finishes_promptly(name, thread, gate, data):
+        released = time.monotonic()
+        gate.set()
+        thread.join(5)
+        result, finished = results[name]
+        assert result == data
+        assert finished - released < 1.0  # well inside its 5 s timeout
+
+    first = start("first", b"one")  # correlation id 1
+    for _ in range(500):
+        if "first" in transport.readers:
+            break
+        time.sleep(0.01)
+    second = start("second", b"two")  # correlation id 2
+    assert turn.entered.wait(5)  # the second caller sleeps on the condition
+    # The reader delivers a waiting caller's response before its own.
+    finishes_promptly("second", second, gates[2], b"two")
+    assert first.is_alive()
+    turn.entered.clear()
+    third = start("third", b"three")  # correlation id 3
+    assert turn.entered.wait(5)
+    # The reader's own response arrives first; the third caller must
+    # take over reading to get its response.
+    gates[1].set()
+    first.join(5)
+    assert results["first"][0] == b"one"
+    finishes_promptly("third", third, gates[3], b"three")
+    assert transport.readers == {"first", "third"}
+    client.close()
+
+
+def test_close_wakes_a_caller_blocked_reading():
+    release = threading.Event()
+
+    def stuck(params, payload):
+        release.wait(10)
+        return payload
+
+    class SignallingTransport(TcpTransport):
+        reading = threading.Event()
+
+        def recv(self, timeout):
+            self.reading.set()
+            return super().recv(timeout)
+
+    outcome = []
+    with Server(ServerConfig(), {FunctionId.COMPRESS: stuck}) as server:
+        transport = SignallingTransport(*server.address)
+        client = Client(ClientConfig(mode="remote"), transport=transport)
+
+        def call():
+            try:
+                client.call(FunctionId.COMPRESS, CompressParams(1), b"x", 30_000)
+            except (ClientClosed, TransportError) as exc:
+                outcome.append((type(exc), time.monotonic()))
+
+        caller = threading.Thread(target=call)
+        caller.start()
+        try:
+            assert transport.reading.wait(5)
+            time.sleep(0.05)  # let the caller block inside recv
+            closed = time.monotonic()
+            client.close()
+            caller.join(5)
+        finally:
+            release.set()
+    assert len(outcome) == 1
+    assert outcome[0][1] - closed < 1.0
+
+
+def test_wrapped_correlation_ids_skip_calls_still_in_flight():
+    with loopback_client(transport=LoopbackTransport(drop_all=True)) as client:
+        stuck = client.submit(FunctionId.COMPRESS, CompressParams(1), b"x")
+        assert stuck.correlation_id == 1
+        client._ids = itertools.count((1 << 32) - 1)  # one call below the wrap
+        last = client.submit(FunctionId.COMPRESS, CompressParams(1), b"y")
+        wrapped = client.submit(FunctionId.COMPRESS, CompressParams(1), b"z")
+        assert (last.correlation_id, wrapped.correlation_id) == ((1 << 32) - 1, 2)
+        assert client._pending[1] is stuck
 
 
 @pytest.mark.parametrize("mode", ["in-process", "remote"])
@@ -336,6 +484,30 @@ def test_tcp_concurrent_senders_keep_frames_whole():
         sys.setswitchinterval(interval)
     assert errors == []
     assert sorted(ids) == list(range(1, 13))
+
+
+def test_one_thread_may_submit_more_than_the_socket_buffers_hold():
+    # Incompressible blocks come back as large as they went out, and the
+    # server stops reading requests while its answers go unread: the
+    # submitting thread must read them itself while its send is stalled.
+    blocks = [random.Random(n).randbytes(64 * 1024) for n in range(4)]
+    outcome = []
+
+    def pipeline():
+        instances = [
+            client.submit(FunctionId.COMPRESS, CompressParams(1), blocks[n % 4])
+            for n in range(400)
+        ]
+        outcome.extend(instance.await_result(10_000) for instance in instances)
+
+    with Server(ServerConfig(), default_registry()) as server:
+        config = ClientConfig(mode="remote", address=server.address, max_queue_depth=4)
+        with Client(config) as client:
+            thread = threading.Thread(target=pipeline, daemon=True)
+            thread.start()
+            thread.join(30)
+            assert not thread.is_alive()
+    assert [codec.decompress(block) for block in outcome] == blocks * 100
 
 
 def test_tcp_connect_failure_raises_transport_error():

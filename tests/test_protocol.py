@@ -221,6 +221,20 @@ def test_stream_decoder_raises_on_bad_head_after_good_frames():
         dec.next_frame()
 
 
+def test_stream_decoder_takes_more_bytes_while_a_checksum_error_is_held():
+    # The frame is checked through views of the decoder's buffer; the
+    # caught error's traceback must not keep the buffer from growing.
+    enc = bytearray(p.encode_frame(REQUEST))
+    enc[-1] ^= 1
+    dec = p.FrameDecoder()
+    dec.feed(bytes(enc))
+    with pytest.raises(p.ChecksumMismatch) as caught:
+        dec.next_frame()
+    dec.feed(b"more")
+    assert dec.buffered == len(enc) + 4
+    assert caught.value is not None
+
+
 def test_stream_decoder_enforces_body_limit_before_buffering():
     dec = p.FrameDecoder(max_body=10)
     enc = p.encode_frame(p.request(1, 1, b"", b"\x00" * 11))
