@@ -6,18 +6,22 @@ The caller-facing half of the offload path:
                                                              │
     caller ◀─await── Instance ◀───recv────── transport ◀─────┘
 
-`submit` assigns the call a correlation id, builds its request frame
-and writes it onto the single connection under a send lock before
-returning the Instance, so many requests may be in flight at once
-(pipelined).  Responses are read by the callers themselves, in the
-leader/followers pattern: of the threads awaiting an Instance, one at
-a time holds the read lock and reads the connection, pairing each
-response to its Instance by correlation id regardless of arrival
-order; the others sleep on one condition until a response of theirs
-arrives or the reader leaves and one of them takes over.  A remote
-Client therefore starts no thread.  The server stops reading requests
-while its answers go unread, so a sender whose write stalls reads them
-too: one thread may pipeline any number of calls before it awaits any.
+`submit` assigns the call a correlation id, encodes its request frame
+and appends it to an outbound queue, so many requests may be in flight
+at once (pipelined).  The queue goes out in one write, under a send
+lock, at the first of: a caller awaiting any Instance, the queue
+holding `max_queue_depth` requests, or the queue holding 64 KiB.  So a
+batch of pipelined calls costs one send, and a caller never reads
+before its own request is on the wire.  Responses are read by the
+callers themselves, in the leader/followers pattern: of the threads
+awaiting an Instance, one at a time holds the read lock and reads the
+connection, pairing each response to its Instance by correlation id
+regardless of arrival order; the others sleep on one condition until a
+response of theirs arrives or the reader leaves and one of them takes
+over.  A remote Client therefore starts no thread.  The server stops
+reading requests while its answers go unread, so a sender whose write
+stalls reads them too: one thread may pipeline any number of calls
+before it awaits any.
 
 Two execution modes share one API.  Remote mode sends frames through a
 Transport (TCP, or a test double).  In-process mode — the monolithic
@@ -28,13 +32,14 @@ behavioral difference between the modes is a bug, not a mode property.
 Both the clock and the transport are injectable, which keeps timeout
 logic and network behavior testable without real sleeping or sockets.
 
-Failure policy: at most `max_queue_depth` calls may be in submit at
-once — building and sending their frames — and one more raises
-Backpressure instead of blocking.  A response that arrives after its
-Instance timed out is discarded.  A transport failure fails every
-in-flight Instance with TransportError; the client does not reconnect
-mid-stream (initial connection attempts honor the retry/backoff
-settings, failover is out of scope).
+Failure policy: at most `max_queue_depth` requests may be queued or
+being written at once (in-process: being run in submit), and one more
+raises Backpressure instead of blocking.  A response that arrives after
+its Instance timed out is discarded.  A transport failure fails every
+in-flight Instance with TransportError, queued ones included, and
+close() fails them with ClientClosed without sending them; the client
+does not reconnect mid-stream (initial connection attempts honor the
+retry/backoff settings, failover is out of scope).
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ class ClientError(Exception):
 
 
 class Backpressure(ClientError):
-    """max_queue_depth calls are already being sent; retry once one returns."""
+    """max_queue_depth requests are already queued or being written."""
 
 
 class ClientClosed(ClientError):
@@ -200,10 +205,19 @@ MODE_IN_PROCESS = "in-process"
 
 _U32_MAX = 0xFFFFFFFF
 
+# Queued requests go out once they reach this size, awaited or not, so
+# a 64 KiB request leaves at submit and one send joins little more.
+_FLUSH_BYTES = 64 * 1024
+
 
 @dataclass
 class ClientConfig:
-    """Execution mode and limits.  timeout_ms > 0, max_queue_depth >= 1."""
+    """Execution mode and limits.  timeout_ms > 0, max_queue_depth >= 1.
+
+    max_queue_depth bounds the requests that are queued or being
+    written (in-process mode: being run in submit); a full queue is
+    written at once, so it also caps the requests one send carries.
+    """
 
     mode: str = MODE_IN_PROCESS
     address: tuple[str, int] | None = None
@@ -231,7 +245,8 @@ class InstanceState(Enum):
 class Instance:
     """Handle for one submitted call.
 
-    Created sent, once its request frame is built; exactly one of
+    Created sent, once its request frame is built (remote: queued, then
+    written when any caller awaits or the queue fills); exactly one of
     completed/failed/timed-out ends it, and the result slot (payload or
     error) is written at most once.  await_result blocks only its
     caller and is idempotent once terminal.
@@ -311,11 +326,12 @@ class Instance:
 class Client:
     """One connection's worth of pipelined function calls.
 
-    Remote mode starts no thread: submit sends each request on the
-    caller's own thread, and the callers awaiting Instances take turns
-    reading responses (see the module docstring).  In-process mode
-    executes during submit.  Thread-safe: submit/call may run from many
-    threads at once.
+    Remote mode starts no thread: submit encodes and queues each
+    request on the caller's own thread, the queue goes out in one send
+    on the thread that awaits or fills it, and the callers awaiting
+    Instances take turns reading responses (see the module docstring).
+    In-process mode executes during submit.  Thread-safe: submit/call
+    may run from many threads at once.
     """
 
     def __init__(
@@ -329,9 +345,14 @@ class Client:
         self.config = config
         self._clock = clock or Clock()
         self._ids = itertools.count(1)
-        self._slots = threading.Semaphore(config.max_queue_depth)
         self._closed = threading.Event()
+        # Under _pending_lock: the calls awaiting a response, the
+        # encoded requests not yet handed to a send, their total size,
+        # and the requests queued or being written (<= max_queue_depth).
         self._pending: dict[int, Instance] = {}
+        self._outbox: list[bytes] = []
+        self._outbox_bytes = 0
+        self._unwritten = 0
         self._pending_lock = threading.Lock()
         self._send_lock = threading.Lock()
         # Held by the one awaiting thread that reads the connection.
@@ -370,14 +391,17 @@ class Client:
         params: protocol.FunctionParams | bytes,
         payload: bytes = b"",
     ) -> Instance:
-        """Send one call; returns its Instance without awaiting the response.
+        """Queue one call; returns its Instance without awaiting the response.
 
-        The request frame is built and written on the calling thread;
-        in-process mode executes the call before returning.
+        The request frame is built and encoded on the calling thread and
+        queued; the queue is written in one send when a caller awaits
+        any Instance, or at once if it now holds max_queue_depth
+        requests or 64 KiB.  In-process mode executes the call before
+        returning.
 
         Raises:
-            Backpressure: max_queue_depth calls are already being
-                built or sent.
+            Backpressure: max_queue_depth requests are already queued
+                or being written (in-process: being run).
             ClientClosed: close() was called or the connection died.
             ValueError: The request cannot be encoded as a frame (for
                 example a function id beyond u16), in either mode;
@@ -385,21 +409,20 @@ class Client:
         """
         if self._closed.is_set():
             raise ClientClosed("client is closed")
-        if not self._slots.acquire(blocking=False):
-            raise Backpressure(
-                f"{self.config.max_queue_depth} calls already being sent"
-            )
-        try:
-            frame = protocol.request(function_id, self._next_id(), params, payload)
-            instance = Instance(self, function_id, frame.correlation_id)
-            if self.config.mode == MODE_IN_PROCESS:
+        if self.config.mode == MODE_IN_PROCESS:
+            with self._pending_lock:
+                self._take_slot()
+            try:
+                frame = protocol.request(function_id, self._next_id(), params, payload)
+                instance = Instance(self, function_id, frame.correlation_id)
                 self._deliver(instance, dispatch(frame, self._registry))
-            else:
-                self._send(instance, frame)
-        finally:
-            # The slot is held through serialization so that
-            # max_queue_depth bounds client-side buffering.
-            self._slots.release()
+            finally:
+                with self._pending_lock:
+                    self._unwritten -= 1
+            return instance
+        frame = protocol.request(function_id, self._next_id(), params, payload)
+        instance = Instance(self, function_id, frame.correlation_id)
+        self._enqueue(instance, protocol.encode_frame(frame))
         return instance
 
     def call(
@@ -448,23 +471,62 @@ class Client:
             if correlation_id not in self._pending:
                 return correlation_id
 
-    def _send(self, instance: Instance, frame: Frame) -> None:
-        assert self._transport is not None
-        data = protocol.encode_frame(frame)
+    def _take_slot(self) -> None:
+        """Count one more unwritten request; the caller holds _pending_lock."""
+        depth = self.config.max_queue_depth
+        if self._unwritten >= depth:
+            raise Backpressure(f"{depth} requests already queued or being written")
+        self._unwritten += 1
+
+    def _enqueue(self, instance: Instance, data: bytes) -> None:
+        """Queue an encoded request; write the queue if it is full."""
         with self._pending_lock:
-            self._pending[frame.correlation_id] = instance
-        try:
-            with self._send_lock:
-                self._transport.send(data, self._read_for_stalled_send)
-        except OSError as exc:
-            self._transport_failed(f"send failed: {exc}")
+            # Checked under the lock that _fail_all takes, so a request
+            # queued after close() cannot be left unfailed.
+            if self._closed.is_set():
+                raise ClientClosed("client is closed")
+            self._take_slot()
+            self._pending[instance.correlation_id] = instance
+            self._outbox.append(data)
+            self._outbox_bytes += len(data)
+            full = (
+                len(self._outbox) >= self.config.max_queue_depth
+                or self._outbox_bytes >= _FLUSH_BYTES
+            )
+        if full:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Write every queued request in one send.
+
+        Taking the send lock first means that once this returns, every
+        request queued before the call is on the wire (or failed): a
+        batch that another thread took is written by the time it
+        releases the lock.
+        """
+        assert self._transport is not None
+        with self._send_lock:
+            with self._pending_lock:
+                batch = self._outbox
+                if not batch:
+                    return
+                self._outbox = []
+                self._outbox_bytes = 0
+            try:
+                self._transport.send(b"".join(batch), self._read_for_stalled_send)
+            except OSError as exc:
+                self._transport_failed(f"send failed: {exc}")
+            finally:
+                with self._pending_lock:
+                    self._unwritten -= len(batch)
 
     def _read_for_stalled_send(self) -> None:
         """Read the answers that keep the server from taking a request.
 
-        The sender holds the send lock, so any call a reader awaits was
-        sent before this request and is answered first: that reader
-        leaves, and the sender waits for the read lock.
+        The sender holds the send lock, and a reader writes the queue
+        before it reads, so any call a reader awaits was sent before
+        this batch and is answered first: that reader leaves, and the
+        sender waits for the read lock.
         """
         if self._closed.is_set():
             raise OSError("client closed")
@@ -477,14 +539,18 @@ class Client:
     def _await(self, instance: Instance, deadline: float) -> None:
         """Return once `instance` is terminal or `deadline` has passed.
 
-        The calling thread reads the connection itself if no other
-        thread does; otherwise it sleeps on `_turn` until a reader
-        delivers a response or leaves.  A leaving reader releases the
-        read lock and notifies while it holds `_turn`'s lock, and a
-        thread sleeps there only after it saw, under that same lock,
-        the read lock held and its instance still sent; so no thread
-        misses its response or the hand-over.
+        The queue is written first, so the request awaited (and every
+        other request queued so far) is on the wire before this thread
+        reads or waits: a stalled sender can then rely on every reader
+        leaving once it is answered.  The calling thread reads the
+        connection itself if no other thread does; otherwise it sleeps
+        on `_turn` until a reader delivers a response or leaves.  A
+        leaving reader releases the read lock and notifies while it
+        holds `_turn`'s lock, and a thread sleeps there only after it
+        saw, under that same lock, the read lock held and its instance
+        still sent; so no thread misses its response or the hand-over.
         """
+        self._flush()
         while instance._state is InstanceState.SENT:
             remaining = deadline - self._clock.now()
             if remaining <= 0:
@@ -565,9 +631,13 @@ class Client:
         self._fail_all(TransportError(detail))
 
     def _fail_all(self, error: ClientError) -> None:
+        """Fail every pending call; the queued requests are never sent."""
         with self._pending_lock:
             pending = list(self._pending.values())
             self._pending.clear()
+            self._unwritten -= len(self._outbox)
+            self._outbox = []
+            self._outbox_bytes = 0
         for instance in pending:
             instance._finish(InstanceState.FAILED, error=error)
         with self._turn:

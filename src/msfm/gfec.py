@@ -18,6 +18,8 @@ precomputed 256-byte table, and XOR of shards is one big-integer XOR.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 _POLY = 0x11D
@@ -158,7 +160,22 @@ def build_matrix(k: int, m: int) -> list[list[int]]:
     return rows
 
 
-def _combine(coeffs: list[int], shards: list[bytes], size: int) -> bytes:
+@functools.lru_cache(maxsize=64)
+def _generator(k: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """build_matrix(k, m), built once per code and immutable."""
+    return tuple(map(tuple, build_matrix(k, m)))
+
+
+@functools.lru_cache(maxsize=256)
+def _decode_matrix(
+    k: int, m: int, rows: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """Inverse of the generator's `rows`, built once per present-set."""
+    generator = _generator(k, m)
+    return tuple(map(tuple, _invert([generator[r] for r in rows])))
+
+
+def _combine(coeffs: Sequence[int], shards: list[bytes], size: int) -> bytes:
     """XOR-accumulate coef * shard over all terms, as one big integer."""
     acc = 0
     for coef, shard in zip(coeffs, shards):
@@ -189,7 +206,7 @@ def ec_encode(data: bytes, profile: EcProfile) -> ShardSet:
     shards: list[bytes | None] = [
         data[j * size : (j + 1) * size] for j in range(k)
     ]
-    matrix = build_matrix(k, m)
+    matrix = _generator(k, m)
     data_shards = shards[:k]
     for i in range(m):
         shards.append(_combine(matrix[k + i], data_shards, size))  # type: ignore[arg-type]
@@ -201,9 +218,9 @@ def ec_decode(shard_set: ShardSet) -> bytes:
 
     Works for any present-set of size >= k: the k x k submatrix of the
     generator picked out by the k lowest present indices is inverted
-    (Gauss-Jordan) and only the missing data shards are rebuilt; present
-    data shards pass through verbatim.  Missing parity is not
-    regenerated.
+    (Gauss-Jordan, once per code and present-set, then cached) and only
+    the missing data shards are rebuilt; present data shards pass
+    through verbatim.  Missing parity is not regenerated.
 
     Raises:
         TooFewShards: Fewer than k shards present.
@@ -226,9 +243,8 @@ def ec_decode(shard_set: ShardSet) -> bytes:
     if all(shards[j] is not None for j in range(k)):
         return b"".join(shards[:k])  # type: ignore[arg-type]
 
-    rows = present[:k]
-    matrix = build_matrix(k, m)
-    inverse = _invert([matrix[r] for r in rows])
+    rows = tuple(present[:k])
+    inverse = _decode_matrix(k, m, rows)
     row_shards = [shards[r] for r in rows]
     out: list[bytes] = []
     for j in range(k):

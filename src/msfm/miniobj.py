@@ -35,6 +35,7 @@ import urllib.parse
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import codec as codec_mod
 from .client import Client, ClientConfig
@@ -158,6 +159,22 @@ class ObjectManifest:
         )
 
 
+def _replace_file(path: Path, write: Callable[[Path], object]) -> None:
+    """Have `write` fill a temporary file, then move it over `path`.
+
+    If either step fails, the temporary file is removed and `path` keeps
+    its previous contents.  The temporary name carries the thread id, so
+    two threads writing the same path never share one.
+    """
+    tmp = path.with_name(f"{path.name}.{threading.get_ident()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 class OsdTarget:
     """One simulated storage daemon: a keyed blob map, possibly on disk."""
 
@@ -195,7 +212,7 @@ class OsdTarget:
             raise NotFound(f"osd {self.id} is down")
         with self._lock:
             if self._dir is not None:
-                self._path(key).write_bytes(data)
+                _replace_file(self._path(key), lambda tmp: tmp.write_bytes(data))
             else:
                 self._blobs[key] = data
 
@@ -265,14 +282,10 @@ class ObjectStore:
     def _save_manifest(self, manifest: ObjectManifest) -> None:
         """Replace the manifest whole: a failed write keeps the old one."""
         if self._root is not None:
-            path = self._manifest_path(manifest.name)
-            tmp = path.with_name(f"{path.name}.{threading.get_ident()}.tmp")
-            try:
-                tmp.write_text(manifest.to_json())
-                os.replace(tmp, path)
-            except BaseException:
-                tmp.unlink(missing_ok=True)
-                raise
+            text = manifest.to_json()
+            _replace_file(
+                self._manifest_path(manifest.name), lambda tmp: tmp.write_text(text)
+            )
         with self._lock:
             self._manifests[manifest.name] = manifest
 

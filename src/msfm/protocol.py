@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import struct
 import zlib
-from collections import namedtuple
 from dataclasses import dataclass, fields
 from enum import IntEnum
+from typing import NamedTuple
 
 from .gfec import code_fits
 
@@ -43,16 +43,18 @@ VERSION = 1
 KIND_REQUEST = 1
 KIND_RESPONSE = 2
 
+# Unpacks to (magic, version, kind, status, function_id,
+# correlation_id, params_len, payload_len, checksum).
 _HEADER = struct.Struct("<4sBBBHIIII")
-_Header = namedtuple(
-    "_Header",
-    "magic version kind status function_id correlation_id"
-    " params_len payload_len checksum",
-)
 HEADER_SIZE = _HEADER.size
 assert HEADER_SIZE == 25
 
-_CHECKSUM_OFFSET = 21  # checksum occupies header bytes [21:25]
+# Encoding packs the header in two parts, the fields before the
+# checksum and the checksum, so that no packed bytes are sliced.
+_PREFIX = struct.Struct("<4sBBBHIII")
+_CHECKSUM = struct.Struct("<I")
+_CHECKSUM_OFFSET = _PREFIX.size  # checksum occupies header bytes [21:25]
+_ZERO_CHECKSUM = bytes(_CHECKSUM.size)
 
 # Largest frame body (params + payload) accepted by default when
 # decoding untrusted input.  Configurable per call / per decoder.
@@ -104,12 +106,13 @@ class MalformedParams(ProtocolError):
     """Parameter bytes do not match the function's expected layout."""
 
 
-@dataclass(frozen=True)
-class Frame:
-    """One decoded wire frame.
+class Frame(NamedTuple):
+    """One decoded wire frame, immutable.
 
     `magic`, `version`, `params_len`, `payload_len` and `checksum` are
     not stored: they are fixed or derived, and recomputed on encode.
+    A Frame is a NamedTuple, so it also compares equal to the plain
+    tuple of its six fields.
     """
 
     kind: int
@@ -152,46 +155,48 @@ def encode_frame(frame: Frame) -> bytes:
             or kind is invalid.
         FrameTooLarge: params or payload exceeds 2^32 - 1 bytes.
     """
-    _check_frame(frame)
-    header = _HEADER.pack(
-        MAGIC,
-        VERSION,
-        frame.kind,
-        frame.status,
-        frame.function_id,
-        frame.correlation_id,
-        len(frame.params),
-        len(frame.payload),
-        0,  # checksum placeholder
-    )
-    crc = zlib.crc32(header)
-    crc = zlib.crc32(frame.params, crc)
-    crc = zlib.crc32(frame.payload, crc)
-    return b"".join(
-        (header[:_CHECKSUM_OFFSET], struct.pack("<I", crc), frame.params, frame.payload)
-    )
+    kind, status, function_id, correlation_id, params, payload = frame
+    if kind != KIND_REQUEST and kind != KIND_RESPONSE:
+        raise ValueError(f"invalid kind: {kind}")
+    try:
+        prefix = _PREFIX.pack(
+            MAGIC, VERSION, kind, status, function_id, correlation_id,
+            len(params), len(payload),
+        )
+    except struct.error:
+        # The struct checks every width; name the field that broke it.
+        _check_frame(frame)
+        raise
+    crc = zlib.crc32(_ZERO_CHECKSUM, zlib.crc32(prefix))
+    crc = zlib.crc32(payload, zlib.crc32(params, crc))
+    return b"".join((prefix, _CHECKSUM.pack(crc), params, payload))
 
 
-def _parse_header(buf: bytes | bytearray, max_body: int) -> _Header | None:
+def _parse_header(buf: bytes | bytearray | memoryview, max_body: int) -> tuple | None:
     """Check the header at the start of `buf` and return its fields.
 
-    Returns None while `buf` is shorter than a header.  Raises, in the
-    order docs/wire.md gives, MalformedFrame for a bad magic (seen in
-    the first four bytes alone), version or kind, and FrameTooLarge for
-    a declared body over `max_body`.
+    Returns None while `buf` is shorter than a header, else the tuple
+    that `_HEADER` unpacks.  Raises, in the order docs/wire.md gives,
+    MalformedFrame for a bad magic (seen in the first four bytes alone),
+    version or kind, and FrameTooLarge for a declared body over
+    `max_body`.
     """
-    if len(buf) >= len(MAGIC) and buf[: len(MAGIC)] != MAGIC:
-        raise MalformedFrame(f"bad magic: {bytes(buf[: len(MAGIC)])!r}")
     if len(buf) < HEADER_SIZE:
+        if len(buf) >= len(MAGIC) and buf[: len(MAGIC)] != MAGIC:
+            raise MalformedFrame(f"bad magic: {bytes(buf[: len(MAGIC)])!r}")
         return None
-    header = _Header._make(_HEADER.unpack_from(buf))
-    if header.version != VERSION:
-        raise MalformedFrame(f"unsupported version: {header.version}")
-    if header.kind not in (KIND_REQUEST, KIND_RESPONSE):
-        raise MalformedFrame(f"invalid kind: {header.kind}")
-    body = header.params_len + header.payload_len
-    if body > max_body:
-        raise FrameTooLarge(f"declared body {body} exceeds limit {max_body}")
+    header = _HEADER.unpack_from(buf)
+    magic, version, kind, _, _, _, params_len, payload_len, _ = header
+    if magic != MAGIC:
+        raise MalformedFrame(f"bad magic: {magic!r}")
+    if version != VERSION:
+        raise MalformedFrame(f"unsupported version: {version}")
+    if kind != KIND_REQUEST and kind != KIND_RESPONSE:
+        raise MalformedFrame(f"invalid kind: {kind}")
+    if params_len + payload_len > max_body:
+        raise FrameTooLarge(
+            f"declared body {params_len + payload_len} exceeds limit {max_body}"
+        )
     return header
 
 
@@ -199,7 +204,7 @@ def decode_frame(
     data: bytes | bytearray | memoryview,
     *,
     max_body: int = DEFAULT_MAX_BODY,
-    header: _Header | None = None,
+    header: tuple | None = None,
 ) -> Frame:
     """Parse bytes that must contain exactly one encoded frame.
 
@@ -207,9 +212,10 @@ def decode_frame(
         data: Untrusted bytes.
         max_body: Reject frames whose declared params + payload exceed
             this many bytes.
-        header: The fields of `data`'s header, already checked by
-            `_parse_header` against the same `max_body`.  FrameDecoder
-            passes them so that a streamed header is parsed once.
+        header: The fields of `data`'s header, as `_parse_header`
+            returned them after checking them against the same
+            `max_body`.  FrameDecoder passes them so that a streamed
+            header is parsed once.
 
     Returns:
         The unique Frame whose encoding equals `data`.  Its params and
@@ -225,8 +231,11 @@ def decode_frame(
         header = _parse_header(data, max_body)
         if header is None:
             raise Truncated(f"need {HEADER_SIZE} header bytes, have {len(data)}")
-    params_end = HEADER_SIZE + header.params_len
-    total = params_end + header.payload_len
+    kind, status, function_id, correlation_id, params_len, payload_len, checksum = (
+        header[2:]
+    )
+    params_end = HEADER_SIZE + params_len
+    total = params_end + payload_len
     if len(data) < total:
         raise Truncated(f"declared {total} bytes, have {len(data)}")
     if len(data) > total:
@@ -234,19 +243,17 @@ def decode_frame(
 
     view = data if isinstance(data, memoryview) else memoryview(data)
     crc = zlib.crc32(view[:_CHECKSUM_OFFSET])
-    crc = zlib.crc32(b"\x00\x00\x00\x00", crc)
+    crc = zlib.crc32(_ZERO_CHECKSUM, crc)
     crc = zlib.crc32(view[HEADER_SIZE:], crc)
-    if crc != header.checksum:
-        raise ChecksumMismatch(
-            f"declared {header.checksum:#010x}, computed {crc:#010x}"
-        )
+    if crc != checksum:
+        raise ChecksumMismatch(f"declared {checksum:#010x}, computed {crc:#010x}")
     return Frame(
-        kind=header.kind,
-        status=header.status,
-        function_id=header.function_id,
-        correlation_id=header.correlation_id,
-        params=bytes(view[HEADER_SIZE:params_end]),
-        payload=bytes(view[params_end:]),
+        kind,
+        status,
+        function_id,
+        correlation_id,
+        bytes(view[HEADER_SIZE:params_end]),
+        bytes(view[params_end:]),
     )
 
 
@@ -277,7 +284,7 @@ class FrameDecoder:
         header = _parse_header(buf, self._max_body)
         if header is None:
             return None
-        total = HEADER_SIZE + header.params_len + header.payload_len
+        total = HEADER_SIZE + header[6] + header[7]  # params_len + payload_len
         if len(buf) < total:
             return None
         # Release both views even when decode_frame raises, or the
@@ -393,14 +400,7 @@ def request(
     that cannot go on the wire fails where it is built.
     """
     raw = params if isinstance(params, bytes) else encode_params(params)
-    frame = Frame(
-        kind=KIND_REQUEST,
-        status=Status.OK,
-        function_id=function_id,
-        correlation_id=correlation_id,
-        params=raw,
-        payload=payload,
-    )
+    frame = Frame(KIND_REQUEST, Status.OK, function_id, correlation_id, raw, payload)
     _check_frame(frame)
     return frame
 
@@ -413,11 +413,7 @@ def response(
     On failure (nonzero status) the payload is empty and `detail`, if
     any, travels in the params field as UTF-8.
     """
-    return Frame(
-        kind=KIND_RESPONSE,
-        status=status,
-        function_id=req.function_id,
-        correlation_id=req.correlation_id,
-        params=detail.encode("utf-8") if status != Status.OK else b"",
-        payload=payload if status == Status.OK else b"",
-    )
+    head = (KIND_RESPONSE, status, req.function_id, req.correlation_id)
+    if status == Status.OK:
+        return Frame(*head, b"", payload)
+    return Frame(*head, detail.encode("utf-8"))

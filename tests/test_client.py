@@ -89,6 +89,24 @@ class HeldTransport(LoopbackTransport):
         return super().recv(timeout)
 
 
+class RecordingTransport(LoopbackTransport):
+    """Loopback that keeps the bytes of every send, one entry per call."""
+
+    def __init__(self):
+        super().__init__()
+        self.sends = []
+
+    def send(self, data, stalled):
+        self.sends.append(bytes(data))
+        super().send(data, stalled)
+
+    def frames_of(self, index):
+        """The frames that send number `index` carried, in order."""
+        decoder = protocol.FrameDecoder()
+        decoder.feed(self.sends[index])
+        return list(iter(decoder.next_frame, None))
+
+
 class WaitSignallingCondition(threading.Condition):
     """A Condition that sets `entered` whenever a thread starts to wait on it."""
 
@@ -190,6 +208,89 @@ def test_backpressure_when_queue_full():
     assert not first.is_alive()
     assert [codec.decompress(block) for block in results] == [b"a" * 100]
     client.close()
+
+
+def test_pipelined_submits_go_out_in_one_send():
+    transport = RecordingTransport()
+    with loopback_client(transport=transport) as client:
+        blocks = [bytes([n]) * 100 for n in range(16)]
+        instances = [
+            client.submit(FunctionId.COMPRESS, CompressParams(1), block)
+            for block in blocks
+        ]
+        assert transport.sends == []
+        assert codec.decompress(instances[0].await_result(2000)) == blocks[0]
+        assert len(transport.sends) == 1
+        frames = transport.frames_of(0)
+        assert [f.correlation_id for f in frames] == [
+            i.correlation_id for i in instances
+        ]
+        assert [f.payload for f in frames] == blocks
+        results = [codec.decompress(i.await_result(2000)) for i in instances]
+        assert results == blocks
+        assert len(transport.sends) == 1
+
+
+def test_a_request_queued_by_one_thread_goes_out_when_another_awaits():
+    transport = RecordingTransport()
+    with loopback_client(transport=transport) as client:
+        queued = []
+        a = threading.Thread(
+            target=lambda: queued.append(
+                client.submit(FunctionId.COMPRESS, CompressParams(1), b"from a")
+            )
+        )
+        a.start()
+        a.join(5)
+        assert not a.is_alive() and transport.sends == []
+        awaited = []
+
+        def b():
+            own = client.submit(FunctionId.COMPRESS, CompressParams(1), b"from b")
+            awaited.append((own, own.await_result(2000)))
+
+        b_thread = threading.Thread(target=b)
+        b_thread.start()
+        b_thread.join(5)
+        assert not b_thread.is_alive()
+        own, result = awaited[0]
+        assert codec.decompress(result) == b"from b"
+        assert len(transport.sends) == 1
+        assert [f.correlation_id for f in transport.frames_of(0)] == [
+            queued[0].correlation_id,
+            own.correlation_id,
+        ]
+        assert codec.decompress(queued[0].await_result(2000)) == b"from a"
+        assert len(transport.sends) == 1
+
+
+def test_a_full_queue_is_written_at_submit():
+    transport = RecordingTransport()
+    with loopback_client(transport=transport, max_queue_depth=4) as client:
+        for n in range(3):
+            client.submit(FunctionId.COMPRESS, CompressParams(1), bytes([n]))
+        assert transport.sends == []
+        client.submit(FunctionId.COMPRESS, CompressParams(1), b"fourth")
+        assert len(transport.sends) == 1 and len(transport.frames_of(0)) == 4
+        # A request of 64 KiB leaves at once, even alone in the queue.
+        client.submit(FunctionId.COMPRESS, CompressParams(1), bytes(64 * 1024))
+        assert len(transport.sends) == 2 and len(transport.frames_of(1)) == 1
+
+
+def test_close_fails_queued_requests_without_sending_them():
+    transport = RecordingTransport()
+    client = loopback_client(transport=transport)
+    instances = [
+        client.submit(FunctionId.COMPRESS, CompressParams(1), bytes([n]))
+        for n in range(3)
+    ]
+    client.close()
+    assert transport.sends == []
+    for instance in instances:
+        assert instance.state is InstanceState.FAILED
+        with pytest.raises(ClientClosed):
+            instance.await_result(2000)
+    assert transport.sends == []
 
 
 def test_await_timeout_marks_instance_and_discards_late_response():
@@ -508,6 +609,49 @@ def test_one_thread_may_submit_more_than_the_socket_buffers_hold():
             thread.join(30)
             assert not thread.is_alive()
     assert [codec.decompress(block) for block in outcome] == blocks * 100
+
+
+def test_threads_sharing_a_small_queue_lose_no_request():
+    # More threads than the queue holds: submits meet Backpressure and
+    # retry, batches mix small and >64 KiB requests, and sends stall.
+    errors = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(30):
+                data = rng.randbytes(rng.choice([16, 3000, 70_000]))
+                while True:
+                    try:
+                        instance = client.submit(
+                            FunctionId.COMPRESS, CompressParams(1), data
+                        )
+                        break
+                    except Backpressure:
+                        time.sleep(0.001)
+                assert codec.decompress(instance.await_result(10_000)) == data
+        except Exception as exc:  # noqa: BLE001 — collected for the assert below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with Server(ServerConfig(), default_registry()) as server:
+            config = ClientConfig(
+                mode="remote", address=server.address, max_queue_depth=4
+            )
+            with Client(config) as client:
+                threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60)
+                assert not any(t.is_alive() for t in threads)
+                left = (client._unwritten, client._outbox, client._pending)
+                assert left == (0, [], {})
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
 
 
 def test_tcp_connect_failure_raises_transport_error():

@@ -220,6 +220,26 @@ def test_decode_rejects_wrong_slot_count():
         ec_decode(ShardSet(ss.profile, ss.shards[:-1]))
 
 
+@pytest.mark.parametrize("k, m", [(4, 2), (1, 1), (6, 3), (10, 4)])
+def test_cached_decode_matrix_equals_a_fresh_inverse(k, m):
+    # ec(4,2): all 15 present-sets of 4 of 6 shards; others: a sample.
+    present_sets = list(itertools.combinations(range(k + m), k))
+    if len(present_sets) > 15:
+        present_sets = random.Random(k * 100 + m).sample(present_sets, 15)
+    data = random.Random(k).randbytes(k * 8)
+    ss = ec_encode(data, EcProfile(k, m, 8))
+    generator = build_matrix(k, m)
+    for rows in present_sets:
+        fresh = gfec._invert([generator[r] for r in rows])
+        for _ in range(2):  # the first call fills the cache, the second reads it
+            cached = gfec._decode_matrix(k, m, rows)
+            assert [list(row) for row in cached] == fresh, rows
+        assert all(isinstance(row, tuple) for row in cached)
+        missing = [i for i in range(k + m) if i not in rows]
+        assert ec_decode(ss.erase(*missing)) == data, rows
+    assert [list(row) for row in gfec._generator(k, m)] == generator
+
+
 def test_decode_is_deterministic():
     data = random.Random(3).randbytes(6 * 32)
     a = ec_encode(data, EcProfile(6, 3, 32))

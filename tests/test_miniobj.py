@@ -13,6 +13,7 @@ from msfm.miniobj import (
     ObjectManifest,
     ObjectPolicy,
     ObjectStore,
+    OsdTarget,
     PlacementError,
     Unrecoverable,
 )
@@ -270,6 +271,24 @@ def test_failed_manifest_write_keeps_the_previous_manifest(tmp_path, monkeypatch
     monkeypatch.undo()
     assert store.manifest("obj") == first
     assert ObjectStore(osd_count=6, root=tmp_path).manifest("obj") == first
+
+
+def test_failed_blob_write_keeps_the_previous_blob(tmp_path, monkeypatch):
+    osd = OsdTarget(0, tmp_path)
+    osd.write("obj/0", b"first blob")
+    write_bytes = Path.write_bytes
+
+    def torn_write(path, data):
+        write_bytes(path, data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", torn_write)
+    with pytest.raises(OSError):
+        osd.write("obj/0", b"a longer second blob")
+    monkeypatch.undo()
+    assert osd.read("obj/0") == b"first blob"
+    assert OsdTarget(0, tmp_path).read("obj/0") == b"first blob"
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_cli_roundtrip(tmp_path, capsys):

@@ -153,6 +153,15 @@ def test_truncation_raises_truncated(frame, data):
         p.decode_frame(enc[:cut])
 
 
+def test_frame_is_immutable_and_equals_its_tuple():
+    with pytest.raises(AttributeError):
+        REQUEST.kind = p.KIND_RESPONSE
+    assert REQUEST == (p.KIND_REQUEST, 0, p.FunctionId.COMPRESS, 7, b"\x01", b"hello")
+    assert p.Frame(1, 0, 1, 7) == p.Frame(
+        kind=1, status=0, function_id=1, correlation_id=7, params=b"", payload=b""
+    )
+
+
 def test_trailing_bytes_rejected():
     with pytest.raises(p.MalformedFrame):
         p.decode_frame(p.encode_frame(REQUEST) + b"x")
