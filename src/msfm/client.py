@@ -38,8 +38,8 @@ raises Backpressure instead of blocking.  A response that arrives after
 its Instance timed out is discarded.  A transport failure fails every
 in-flight Instance with TransportError, queued ones included, and
 close() fails them with ClientClosed without sending them; the client
-does not reconnect mid-stream (initial connection attempts honor the
-retry/backoff settings, failover is out of scope).
+does not reconnect mid-stream (a failed initial connect is retried
+with backoff; failover is out of scope).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from typing import Callable
 
 from . import protocol
 from .protocol import Frame, FrameDecoder, Status
-from .server import Handler, default_registry, dispatch
+from .server import default_registry, dispatch
 
 
 class ClientError(Exception):
@@ -205,6 +205,10 @@ MODE_IN_PROCESS = "in-process"
 
 _U32_MAX = 0xFFFFFFFF
 
+# A failed connect is retried this often, after 50 ms, then 100 ms, ...
+_CONNECT_RETRIES = 2
+_BACKOFF_BASE_MS = 50.0
+
 # Queued requests go out once they reach this size, awaited or not, so
 # a 64 KiB request leaves at submit and one send joins little more.
 _FLUSH_BYTES = 64 * 1024
@@ -223,8 +227,6 @@ class ClientConfig:
     address: tuple[str, int] | None = None
     timeout_ms: float = 5000.0
     max_queue_depth: int = 64
-    connect_retries: int = 2
-    backoff_base_ms: float = 50.0
 
     def __post_init__(self) -> None:
         if self.mode not in (MODE_REMOTE, MODE_IN_PROCESS):
@@ -257,7 +259,6 @@ class Instance:
         self.correlation_id = correlation_id
         self.submitted_at = client._clock.now()
         self._client = client
-        self._lock = threading.Lock()
         self._state = InstanceState.SENT
         self._payload: bytes | None = None
         self._error: ClientError | None = None
@@ -277,19 +278,18 @@ class Instance:
         state: InstanceState,
         payload: bytes | None = None,
         error: ClientError | None = None,
-    ) -> bool:
-        """Move to a terminal state; False if one was already reached.
+    ) -> None:
+        """Move to a terminal state; the result is stored before the state.
 
+        await_result reads the state without a lock.  The caller holds
+        `_pending_lock` and has just taken this Instance out of
+        `_pending` (in-process: submit has not returned it yet).
         Whoever finishes another thread's Instance must then notify the
         client's `_turn` condition, which its waiter sleeps on.
         """
-        with self._lock:
-            if self._state is not InstanceState.SENT:
-                return False
-            self._state = state
-            self._payload = payload
-            self._error = error
-        return True
+        self._payload = payload
+        self._error = error
+        self._state = state
 
     def await_result(self, timeout_ms: float | None = None) -> bytes:
         """Block until terminal; return the payload or raise the error.
@@ -314,10 +314,7 @@ class Instance:
             if timeout_ms is None:
                 timeout_ms = client.config.timeout_ms
             client._await(self, client._clock.now() + timeout_ms / 1000.0)
-            if self._finish(InstanceState.TIMED_OUT, error=TimedOut(
-                f"no response within {timeout_ms:g} ms"
-            )):
-                client._forget(self)
+            client._expire(self, TimedOut(f"no response within {timeout_ms:g} ms"))
         if self._error is not None:
             raise self._error
         return self._payload if self._payload is not None else b""
@@ -340,7 +337,6 @@ class Client:
         *,
         transport: Transport | None = None,
         clock: Clock | None = None,
-        registry: dict[int, Handler] | None = None,
     ):
         self.config = config
         self._clock = clock or Clock()
@@ -364,7 +360,7 @@ class Client:
         self._transport: Transport | None = None
 
         if config.mode == MODE_IN_PROCESS:
-            self._registry = registry if registry is not None else default_registry()
+            self._registry = default_registry()
             return
         self._registry = {}
         self._transport = transport or self._connect()
@@ -374,13 +370,12 @@ class Client:
             raise ValueError("remote mode needs an address or an explicit transport")
         host, port = self.config.address
         last: Exception | None = None
-        for attempt in range(self.config.connect_retries + 1):
+        for attempt in range(_CONNECT_RETRIES + 1):
             try:
                 return TcpTransport(host, port)
             except OSError as exc:
                 last = exc
-                backoff = self.config.backoff_base_ms * (2**attempt) / 1000.0
-                self._clock.sleep(backoff)
+                self._clock.sleep(_BACKOFF_BASE_MS * (2**attempt) / 1000.0)
         raise TransportError(f"cannot connect to {host}:{port}: {last}")
 
     # --- public API ---------------------------------------------------------
@@ -612,9 +607,9 @@ class Client:
     def _dispatch_response(self, frame: Frame) -> None:
         with self._pending_lock:
             instance = self._pending.pop(frame.correlation_id, None)
-        if instance is None:
-            return  # duplicate, or response for a timed-out instance
-        self._deliver(instance, frame)
+            # None: a duplicate, or the response to a timed-out call.
+            if instance is not None:
+                self._deliver(instance, frame)
 
     def _deliver(self, instance: Instance, frame: Frame) -> None:
         if frame.status == Status.OK:
@@ -633,16 +628,19 @@ class Client:
     def _fail_all(self, error: ClientError) -> None:
         """Fail every pending call; the queued requests are never sent."""
         with self._pending_lock:
-            pending = list(self._pending.values())
+            for instance in self._pending.values():
+                instance._finish(InstanceState.FAILED, error=error)
             self._pending.clear()
             self._unwritten -= len(self._outbox)
             self._outbox = []
             self._outbox_bytes = 0
-        for instance in pending:
-            instance._finish(InstanceState.FAILED, error=error)
         with self._turn:
             self._turn.notify_all()
 
-    def _forget(self, instance: Instance) -> None:
+    def _expire(self, instance: Instance, error: ClientError) -> None:
+        """Time out `instance` unless a response or failure ended it first."""
         with self._pending_lock:
-            self._pending.pop(instance.correlation_id, None)
+            # Still sent means still pending: both change under this lock.
+            if instance._state is InstanceState.SENT:
+                del self._pending[instance.correlation_id]
+                instance._finish(InstanceState.TIMED_OUT, error=error)

@@ -9,12 +9,13 @@ function ids onto the codec and erasure-coding modules:
     3 ec_encode    k*shard_size data bytes -> k+m shards, concatenated
     4 ec_decode    present shards (ascending index) -> data bytes
 
-`Server` wraps dispatch in a TCP front end with one reader thread per
-connection, and that reader is the only dispatch path: it runs
-dispatch on every frame decoded from one recv and answers them with
-one write, in request order, before it reads again, so each
+`Server` is a `socketserver.ThreadingTCPServer` around dispatch.  Each
+connection gets a reader thread, and that reader is the only dispatch
+path: it runs dispatch on every frame decoded from one recv and answers
+them with one write, in request order, before it reads again, so each
 connection holds at most one batch.  The correlation id, not the
-order, is the pairing contract.
+order, is the pairing contract.  Reader threads are not daemons, and
+stop() joins them, so a started Server must be stopped.
 
 A frame that fails to decode kills its connection: the frames decoded
 before it are still answered, then the server sends a best-effort
@@ -24,9 +25,11 @@ status-2 response with correlation_id 0 and closes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import signal
 import socket
+import socketserver
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -145,59 +148,52 @@ class ServerConfig:
             raise ValueError("all server limits must be >= 1")
 
 
-class Server:
-    """Threaded TCP server around a function registry.
+class Server(socketserver.ThreadingTCPServer):
+    """Threaded TCP server around a function registry; binds on creation.
 
-    Use as a context manager or call start()/stop().  stop() drains:
-    each connection's reader answers the requests it has already read,
-    then the socket closes; a request not yet read when stop() begins
-    sees the connection close.
+    Use as a context manager or call start()/stop().  start() serves on
+    a daemon thread; each connection is read by its own thread, named
+    "msfm-conn-reader", and one past `max_connections` is closed
+    unanswered.  stop() drains: each reader answers the requests it has
+    already read, then the socket closes and the reader is joined; a
+    request not yet read when stop() begins sees the connection close.
     """
+
+    allow_reuse_address = True
 
     def __init__(self, config: ServerConfig, registry: dict[int, Handler]):
         self.config = config
         self.registry = dict(registry)
-        self._listener: socket.socket | None = None
-        self._accept_thread: threading.Thread | None = None
-        self._connections: set[_Connection] = set()
+        self._serve_thread: threading.Thread | None = None
+        self._connections: set[socket.socket] = set()
         self._conn_lock = threading.Lock()
-        self._stopping = threading.Event()
+        super().__init__((config.host, config.port), _Connection)
 
     @property
     def address(self) -> tuple[str, int]:
-        """The bound (host, port); valid after start()."""
-        assert self._listener is not None, "server not started"
-        return self._listener.getsockname()[:2]
+        """The bound (host, port)."""
+        return self.server_address[:2]
 
     def start(self) -> "Server":
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.config.host, self.config.port))
-        listener.listen()
-        # Closing a listening socket does not reliably wake a blocked
-        # accept(); poll with a timeout so stop() terminates the loop.
-        listener.settimeout(0.2)
-        self._listener = listener
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="msfm-accept", daemon=True
+        self._serve_thread = threading.Thread(
+            target=self.serve_forever, args=(0.2,), name="msfm-accept", daemon=True
         )
-        self._accept_thread.start()
+        self._serve_thread.start()
         log.info("serving on %s:%d", *self.address)
         return self
 
     def stop(self) -> None:
         """Stop accepting, answer what each connection has read, close."""
-        if self._stopping.is_set():
-            return
-        self._stopping.set()
-        if self._listener is not None:
-            self._listener.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join()
+        serve_thread, self._serve_thread = self._serve_thread, None
+        if serve_thread is not None:
+            self.shutdown()  # waits for serve_forever, so only once it ran
+            serve_thread.join()
+        # Readers stop once _serve_thread is None; SHUT_RD wakes them in recv.
         with self._conn_lock:
-            connections = list(self._connections)
-        for conn in connections:
-            conn.drain_and_close()
+            for sock in self._connections:
+                with contextlib.suppress(OSError):  # the peer reset it
+                    sock.shutdown(socket.SHUT_RD)
+        self.server_close()  # closes the listener, joins every reader
 
     def __enter__(self) -> "Server":
         return self.start()
@@ -205,56 +201,44 @@ class Server:
     def __exit__(self, *exc_info: object) -> None:
         self.stop()
 
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._stopping.is_set():
-            try:
-                sock, peer = self._listener.accept()
-            except TimeoutError:
-                continue
-            except OSError:
-                break  # listener closed by stop()
-            sock.settimeout(None)
-            # Responses are small writes the client waits on; with Nagle
-            # on, each burst would wait for the peer's delayed ACK.
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with self._conn_lock:
-                if len(self._connections) >= self.config.max_connections:
-                    sock.close()
-                    log.warning("connection limit reached; refused %s", peer)
-                    continue
-                conn = _Connection(self, sock)
-                self._connections.add(conn)
-            conn.start()
+    def server_activate(self) -> None:
+        self.socket.listen()  # listen()'s own backlog, not request_queue_size
 
-    def _forget(self, conn: "_Connection") -> None:
+    def verify_request(self, request, client_address) -> bool:
         with self._conn_lock:
-            self._connections.discard(conn)
+            if len(self._connections) >= self.config.max_connections:
+                log.warning("connection limit reached; refused %s", client_address)
+                return False
+            self._connections.add(request)
+        return True
+
+    def close_request(self, request) -> None:
+        with self._conn_lock:
+            self._connections.discard(request)
+        super().close_request(request)
+
+    def handle_error(self, request, client_address) -> None:
+        # Let the exception reach threading.excepthook, not stderr.
+        raise
 
 
-class _Connection:
-    """One client connection and the reader thread that serves it."""
+class _Connection(socketserver.BaseRequestHandler):
+    """Serves one client connection on its own reader thread."""
 
-    def __init__(self, server: Server, sock: socket.socket):
-        self._server = server
-        self._sock = sock
-        self._reader = threading.Thread(
-            target=self._read_loop, name="msfm-conn-reader", daemon=True
-        )
-        self._closed = threading.Event()
-
-    def start(self) -> None:
-        self._reader.start()
-
-    def _read_loop(self) -> None:
-        decoder = FrameDecoder(self._server.config.max_frame_bytes)
-        registry = self._server.registry
+    def handle(self) -> None:
+        threading.current_thread().name = "msfm-conn-reader"
+        server, sock = self.server, self.request
+        # Responses are small writes the client waits on; with Nagle
+        # on, each burst would wait for the peer's delayed ACK.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        decoder = FrameDecoder(server.config.max_frame_bytes)
+        registry = server.registry
         # One read takes in a whole 64 KiB frame, with no allocation.
         chunk = memoryview(bytearray(1 << 17))
         try:
-            while not self._closed.is_set():
+            while server._serve_thread is not None:
                 try:
-                    size = self._sock.recv_into(chunk)
+                    size = sock.recv_into(chunk)
                 except OSError:
                     break
                 if not size:
@@ -275,37 +259,13 @@ class _Connection:
             self._write(
                 [Frame(protocol.KIND_RESPONSE, Status.MALFORMED_PARAMS, 0, 0, detail)]
             )
-        finally:
-            self._finish()
 
     def _write(self, frames: list[Frame]) -> None:
         encoded = b"".join(protocol.encode_frame(frame) for frame in frames)
         try:
-            self._sock.sendall(encoded)
+            self.request.sendall(encoded)
         except OSError:
             pass  # peer went away; nothing useful left to do
-
-    def drain_and_close(self) -> None:
-        """Let the reader answer what it has read, then wait for it to close.
-
-        Shutting the read side wakes a reader blocked in recv; a reader
-        still dispatching writes its batch, sees closed set and stops.
-        """
-        self._closed.set()
-        try:
-            self._sock.shutdown(socket.SHUT_RD)
-        except OSError:
-            pass  # the reader has closed the socket already
-        self._reader.join()
-
-    def _finish(self) -> None:
-        self._closed.set()
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._sock.close()
-        self._server._forget(self)
 
 
 def main(argv: list[str] | None = None) -> int:

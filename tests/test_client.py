@@ -339,6 +339,39 @@ def test_await_twice_returns_cached_result():
     client.close()
 
 
+def test_a_caller_never_sees_an_ended_instance_without_its_result(monkeypatch):
+    paused, resume = threading.Event(), threading.Event()
+
+    class PausingInstance(Instance):
+        """Holds the thread that ends call 2 right after it stores the state."""
+
+        def __setattr__(self, name, value):
+            super().__setattr__(name, value)
+            if name == "_state" and value is not InstanceState.SENT:
+                if self.correlation_id == 2:
+                    paused.set()
+                    resume.wait(10)
+
+    monkeypatch.setattr("msfm.client.Instance", PausingInstance)
+    gates = {1: threading.Event(), 2: threading.Event()}
+    gates[2].set()  # call 2 is answered, call 1 is held
+    client = loopback_client(transport=HeldTransport(gates))
+    data = bytes(100) + b"tail"
+    first = client.submit(FunctionId.COMPRESS, CompressParams(1), data)
+    second = client.submit(FunctionId.COMPRESS, CompressParams(1), data)
+    reader = threading.Thread(target=first.await_result, args=(5000,))
+    reader.start()
+    try:
+        assert paused.wait(5)  # the reader is delivering call 2's response
+        assert codec.decompress(second.await_result(2000)) == data
+    finally:
+        resume.set()
+        gates[1].set()
+        reader.join(5)
+        client.close()
+    assert not reader.is_alive()
+
+
 def test_transport_failure_fails_pending_instances():
     transport = LoopbackTransport(drop_all=True)
     client = loopback_client(transport=transport)
@@ -658,8 +691,6 @@ def test_tcp_connect_failure_raises_transport_error():
     config = ClientConfig(
         mode="remote",
         address=("127.0.0.1", 1),  # nothing listens on port 1
-        connect_retries=1,
-        backoff_base_ms=1,
     )
     with pytest.raises(TransportError):
         Client(config)

@@ -260,13 +260,114 @@ def test_hundred_pipelined_requests_one_connection():
 
 
 def test_accepted_socket_disables_nagle():
-    with Server(ServerConfig(), REGISTRY) as server:
+    accepted = []
+
+    class RecordingServer(Server):
+        def verify_request(self, request, client_address):
+            accepted.append(request)
+            return super().verify_request(request, client_address)
+
+    with RecordingServer(ServerConfig(), REGISTRY) as server:
         client = RawClient(server.address)
         client.send(req(FunctionId.COMPRESS, 1, protocol.CompressParams(1), b"a"))
         client.recv_frames(1)
-        (conn,) = server._connections
-        assert conn._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        (sock,) = accepted
+        assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
         client.close()
+
+
+def served(client, cid):
+    """True if a compress call on `client` is answered correctly."""
+    data = bytes([cid % 256]) * 64
+    client.send(req(FunctionId.COMPRESS, cid, protocol.CompressParams(1), data))
+    (resp,) = client.recv_frames(1)
+    return resp.correlation_id == cid and codec.decompress(resp.payload) == data
+
+
+def live_readers():
+    return [t for t in threading.enumerate() if t.name == "msfm-conn-reader"]
+
+
+def test_connections_past_the_limit_are_closed_unanswered():
+    with Server(ServerConfig(max_connections=1), REGISTRY) as server:
+        first = RawClient(server.address)
+        assert served(first, 1)
+        second = RawClient(server.address)
+        second.send(req(FunctionId.COMPRESS, 2, protocol.CompressParams(1), b"x"))
+        assert second.recv_until_closed() == []
+        second.close()
+        assert served(first, 3)  # the first is still served
+        first.close()
+        deadline = time.monotonic() + 5
+        while live_readers() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not live_readers()
+        third = RawClient(server.address)
+        assert served(third, 4)  # the first one's slot is free again
+        third.close()
+
+
+def test_stop_joins_every_thread_the_server_started():
+    before = set(threading.enumerate())
+    server = Server(ServerConfig(), REGISTRY).start()
+    clients = [RawClient(server.address) for _ in range(3)]
+    for cid, client in enumerate(clients, start=1):
+        assert served(client, cid)
+    started = set(threading.enumerate()) - before
+    assert sorted(t.name for t in started) == ["msfm-accept"] + ["msfm-conn-reader"] * 3
+    server.stop()  # the clients are still connected
+    assert not [t.name for t in started if t.is_alive()]
+    for client in clients:
+        assert client.recv_until_closed() == []
+        client.close()
+    server.stop()  # idempotent
+
+
+def test_stop_does_not_answer_a_request_that_arrives_after_it_began():
+    started = threading.Event()
+    release = threading.Event()
+
+    def stalling_echo(params, payload):
+        started.set()
+        release.wait(10)
+        return payload
+
+    server = Server(ServerConfig(), {1: stalling_echo}).start()
+    client = RawClient(server.address)
+    client.send(req(1, 1, b"\x01", b"first"))
+    assert started.wait(5)
+    stopper = threading.Thread(target=server.stop)
+    stopper.start()
+    stopper.join(0.2)
+    assert stopper.is_alive()
+    client.send(req(1, 2, b"\x01", b"second"))
+    time.sleep(0.05)  # let it reach the server's receive queue
+    release.set()
+    stopper.join(5)
+    assert not stopper.is_alive()
+    responses = client.recv_until_closed()
+    assert [(r.correlation_id, r.payload) for r in responses] == [(1, b"first")]
+    client.close()
+
+
+def test_an_unexpected_reader_error_reaches_threading_excepthook(monkeypatch):
+    def broken_dispatch(frame, registry):
+        raise RuntimeError("dispatch broke")
+
+    monkeypatch.setattr("msfm.server.dispatch", broken_dispatch)
+    seen = []
+    hook, threading.excepthook = threading.excepthook, seen.append
+    try:
+        with Server(ServerConfig(), REGISTRY) as server:
+            client = RawClient(server.address)
+            client.send(req(FunctionId.COMPRESS, 1, protocol.CompressParams(1), b"a"))
+            assert client.recv_until_closed() == []
+            client.close()
+    finally:
+        threading.excepthook = hook
+    assert [(args.exc_type, args.thread.name) for args in seen] == [
+        (RuntimeError, "msfm-conn-reader")
+    ]
 
 
 def test_default_server_dispatches_inline_in_request_order():
