@@ -18,7 +18,8 @@ awaiting an Instance, one at a time holds the read lock and reads the
 connection, pairing each response to its Instance by correlation id
 regardless of arrival order; the others sleep on one condition until a
 response of theirs arrives or the reader leaves and one of them takes
-over.  A remote Client therefore starts no thread.  The server stops
+over.  The reader decodes every frame of a chunk in one pass and
+finishes their Instances under one lock acquisition, with one wake-up.  A remote Client therefore starts no thread.  The server stops
 reading requests while its answers go unread, so a sender whose write
 stalls reads them too: one thread may pipeline any number of calls
 before it awaits any.
@@ -54,7 +55,7 @@ from enum import Enum
 from typing import Callable
 
 from . import protocol
-from .protocol import Frame, FrameDecoder, Status
+from .protocol import KIND_REQUEST, Frame, FrameDecoder, Status
 from .server import default_registry, dispatch
 
 
@@ -244,6 +245,14 @@ class InstanceState(Enum):
     TIMED_OUT = "timed-out"
 
 
+# Enum member lookups cost a class attribute search each; these do not.
+_SENT = InstanceState.SENT
+_COMPLETED = InstanceState.COMPLETED
+_FAILED = InstanceState.FAILED
+_OK = Status.OK
+_new_frame = tuple.__new__  # Frame from a 6-tuple, as protocol builds them
+
+
 class Instance:
     """Handle for one submitted call.
 
@@ -259,7 +268,7 @@ class Instance:
         self.correlation_id = correlation_id
         self.submitted_at = client._clock.now()
         self._client = client
-        self._state = InstanceState.SENT
+        self._state = _SENT
         self._payload: bytes | None = None
         self._error: ClientError | None = None
 
@@ -309,12 +318,13 @@ class Instance:
             TransportError, ClientClosed: The connection or client
                 went away before a response arrived.
         """
-        if self._state is InstanceState.SENT:
+        if self._state is _SENT:
             client = self._client
             if timeout_ms is None:
                 timeout_ms = client.config.timeout_ms
             client._await(self, client._clock.now() + timeout_ms / 1000.0)
-            client._expire(self, TimedOut(f"no response within {timeout_ms:g} ms"))
+            if self._state is _SENT:
+                client._expire(self, TimedOut(f"no response within {timeout_ms:g} ms"))
         if self._error is not None:
             raise self._error
         return self._payload if self._payload is not None else b""
@@ -327,6 +337,8 @@ class Client:
     request on the caller's own thread, the queue goes out in one send
     on the thread that awaits or fills it, and the callers awaiting
     Instances take turns reading responses (see the module docstring).
+    A reader takes `_pending_lock` once per chunk it reads, not once
+    per response, and wakes the waiters once.
     In-process mode executes during submit.  Thread-safe: submit/call
     may run from many threads at once.
     """
@@ -415,9 +427,13 @@ class Client:
                 with self._pending_lock:
                     self._unwritten -= 1
             return instance
-        frame = protocol.request(function_id, self._next_id(), params, payload)
-        instance = Instance(self, function_id, frame.correlation_id)
-        self._enqueue(instance, protocol.encode_frame(frame))
+        # encode_frame checks every field as protocol.request would.
+        raw = params if isinstance(params, bytes) else protocol.encode_params(params)
+        correlation_id = self._next_id()
+        frame = (KIND_REQUEST, _OK, function_id, correlation_id, raw, payload)
+        data = protocol.encode_frame(_new_frame(Frame, frame))
+        instance = Instance(self, function_id, correlation_id)
+        self._enqueue(instance, data)
         return instance
 
     def call(
@@ -534,19 +550,21 @@ class Client:
     def _await(self, instance: Instance, deadline: float) -> None:
         """Return once `instance` is terminal or `deadline` has passed.
 
-        The queue is written first, so the request awaited (and every
-        other request queued so far) is on the wire before this thread
-        reads or waits: a stalled sender can then rely on every reader
-        leaving once it is answered.  The calling thread reads the
-        connection itself if no other thread does; otherwise it sleeps
-        on `_turn` until a reader delivers a response or leaves.  A
-        leaving reader releases the read lock and notifies while it
-        holds `_turn`'s lock, and a thread sleeps there only after it
-        saw, under that same lock, the read lock held and its instance
-        still sent; so no thread misses its response or the hand-over.
+        The queue is written first, unless nothing is queued or being
+        written, so the request awaited (and every other request queued
+        so far) is on the wire before this thread reads or waits: a
+        stalled sender can then rely on every reader leaving once it is
+        answered.  The calling thread reads the connection itself if no
+        other thread does; otherwise it sleeps on `_turn` until a reader
+        delivers a response or leaves.  A leaving reader releases the
+        read lock and notifies while it holds `_turn`'s lock, and a
+        thread sleeps there only after it saw, under that same lock, the
+        read lock held and its instance still sent; so no thread misses
+        its response or the hand-over.
         """
-        self._flush()
-        while instance._state is InstanceState.SENT:
+        if self._unwritten:
+            self._flush()
+        while instance._state is _SENT:
             remaining = deadline - self._clock.now()
             if remaining <= 0:
                 if not self._read_lock.locked():
@@ -557,7 +575,7 @@ class Client:
                 return
             if self._read_lock.acquire(blocking=False):
                 try:
-                    while instance._state is InstanceState.SENT:
+                    while instance._state is _SENT:
                         remaining = deadline - self._clock.now()
                         own = instance.correlation_id
                         if remaining <= 0 or not self._read_once(remaining, own):
@@ -566,7 +584,7 @@ class Client:
                     self._hand_over()
                 return
             with self._turn:
-                if instance._state is InstanceState.SENT and self._read_lock.locked():
+                if instance._state is _SENT and self._read_lock.locked():
                     self._turn.wait(remaining)
 
     def _hand_over(self) -> None:
@@ -578,8 +596,8 @@ class Client:
     def _read_once(self, timeout: float, own: int = 0) -> bool:
         """Read one chunk and deliver every response it completes.
 
-        The caller holds the read lock.  The waiters are woken if the
-        chunk held a response other than to `own`, the reader's own
+        The caller holds the read lock.  The waiters are woken, once, if
+        the chunk completed a call other than `own`, the reader's own
         correlation id (0 matches no call).  Returns False if nothing
         came within `timeout` or the connection is gone.
         """
@@ -594,9 +612,10 @@ class Client:
         others = False
         try:
             self._decoder.feed(data)
-            while (frame := self._decoder.next_frame()) is not None:
-                self._dispatch_response(frame)
-                others |= frame.correlation_id != own
+            # A bad frame is raised by the call after the one that
+            # returns the frames before it.
+            while frames := self._decoder.frames():
+                others |= self._complete(frames, own)
         except protocol.ProtocolError as exc:
             self._transport_failed(f"undecodable response stream: {exc}")
         if others:
@@ -604,22 +623,29 @@ class Client:
                 self._turn.notify_all()
         return True
 
-    def _dispatch_response(self, frame: Frame) -> None:
+    def _complete(self, frames: list[Frame], own: int) -> bool:
+        """Finish the Instance of each response, under one lock acquisition.
+
+        Returns whether a call other than `own` was completed.
+        """
+        others = False
+        pending = self._pending
         with self._pending_lock:
-            instance = self._pending.pop(frame.correlation_id, None)
-            # None: a duplicate, or the response to a timed-out call.
-            if instance is not None:
-                self._deliver(instance, frame)
+            for frame in frames:
+                correlation_id = frame.correlation_id
+                instance = pending.pop(correlation_id, None)
+                # None: a duplicate, or the response to a timed-out call.
+                if instance is not None:
+                    self._deliver(instance, frame)
+                    others |= correlation_id != own
+        return others
 
     def _deliver(self, instance: Instance, frame: Frame) -> None:
-        if frame.status == Status.OK:
-            instance._finish(InstanceState.COMPLETED, payload=frame.payload)
+        if frame.status == _OK:
+            instance._finish(_COMPLETED, frame.payload)
         else:
             detail = frame.params.decode("utf-8", errors="replace")
-            instance._finish(
-                InstanceState.FAILED,
-                error=error_for_status(frame.status, detail),
-            )
+            instance._finish(_FAILED, error=error_for_status(frame.status, detail))
 
     def _transport_failed(self, detail: str) -> None:
         self._closed.set()
@@ -629,7 +655,7 @@ class Client:
         """Fail every pending call; the queued requests are never sent."""
         with self._pending_lock:
             for instance in self._pending.values():
-                instance._finish(InstanceState.FAILED, error=error)
+                instance._finish(_FAILED, error=error)
             self._pending.clear()
             self._unwritten -= len(self._outbox)
             self._outbox = []
@@ -641,6 +667,6 @@ class Client:
         """Time out `instance` unless a response or failure ended it first."""
         with self._pending_lock:
             # Still sent means still pending: both change under this lock.
-            if instance._state is InstanceState.SENT:
+            if instance._state is _SENT:
                 del self._pending[instance.correlation_id]
                 instance._finish(InstanceState.TIMED_OUT, error=error)

@@ -62,10 +62,14 @@ def gf_inv(a: int) -> int:
 
 
 # Scalar-multiplication translation tables: _MUL_TABLE[c][b] == gf_mul(c, b),
-# so shard * c is a single bytes.translate call.
-_MUL_TABLE = [
-    bytes(_EXP[_LOG[c] + _LOG[b]] if c and b else 0 for b in range(256))
-    for c in range(256)
+# so shard * c is a single bytes.translate call.  Row c maps each b >= 1
+# through _LOG[b] into the 256 antilogs that start at _LOG[c]; row 0 and
+# column 0 are zero.  Each row is itself one translate.
+_LOGS_OF_NONZERO = bytes(_LOG[1:256])
+_EXP_BYTES = bytes(_EXP)
+_MUL_TABLE = [bytes(256)] + [
+    b"\x00" + _LOGS_OF_NONZERO.translate(_EXP_BYTES[_LOG[c] : _LOG[c] + 256])
+    for c in range(1, 256)
 ]
 
 

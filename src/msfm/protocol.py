@@ -123,6 +123,14 @@ class Frame(NamedTuple):
     payload: bytes = b""
 
 
+# Builds a Frame from a tuple of all six fields, at half the cost of
+# the NamedTuple's own __new__; used where frames are made per call.
+_new_frame = tuple.__new__
+
+# Enum member lookups cost a class attribute search each; these do not.
+_OK = Status.OK
+
+
 def _check_frame(frame: Frame) -> None:
     """Raise unless every field of `frame` fits its wire width."""
     if frame.kind not in (KIND_REQUEST, KIND_RESPONSE):
@@ -172,20 +180,23 @@ def encode_frame(frame: Frame) -> bytes:
     return b"".join((prefix, _CHECKSUM.pack(crc), params, payload))
 
 
-def _parse_header(buf: bytes | bytearray | memoryview, max_body: int) -> tuple | None:
-    """Check the header at the start of `buf` and return its fields.
+def _parse_header(
+    buf: bytes | bytearray | memoryview, max_body: int, offset: int = 0
+) -> tuple | None:
+    """Check the header at `offset` in `buf` and return its fields.
 
-    Returns None while `buf` is shorter than a header, else the tuple
-    that `_HEADER` unpacks.  Raises, in the order docs/wire.md gives,
-    MalformedFrame for a bad magic (seen in the first four bytes alone),
-    version or kind, and FrameTooLarge for a declared body over
+    Returns None while fewer than a header's bytes follow `offset`, else
+    the tuple that `_HEADER` unpacks.  Raises, in the order docs/wire.md
+    gives, MalformedFrame for a bad magic (seen in the first four bytes
+    alone), version or kind, and FrameTooLarge for a declared body over
     `max_body`.
     """
-    if len(buf) < HEADER_SIZE:
-        if len(buf) >= len(MAGIC) and buf[: len(MAGIC)] != MAGIC:
-            raise MalformedFrame(f"bad magic: {bytes(buf[: len(MAGIC)])!r}")
+    if len(buf) - offset < HEADER_SIZE:
+        magic = buf[offset : offset + len(MAGIC)]
+        if len(magic) == len(MAGIC) and magic != MAGIC:
+            raise MalformedFrame(f"bad magic: {bytes(magic)!r}")
         return None
-    header = _HEADER.unpack_from(buf)
+    header = _HEADER.unpack_from(buf, offset)
     magic, version, kind, _, _, _, params_len, payload_len, _ = header
     if magic != MAGIC:
         raise MalformedFrame(f"bad magic: {magic!r}")
@@ -231,40 +242,35 @@ def decode_frame(
         header = _parse_header(data, max_body)
         if header is None:
             raise Truncated(f"need {HEADER_SIZE} header bytes, have {len(data)}")
-    kind, status, function_id, correlation_id, params_len, payload_len, checksum = (
-        header[2:]
-    )
+    (_, _, kind, status, function_id, correlation_id,
+     params_len, payload_len, checksum) = header
     params_end = HEADER_SIZE + params_len
     total = params_end + payload_len
-    if len(data) < total:
-        raise Truncated(f"declared {total} bytes, have {len(data)}")
-    if len(data) > total:
+    if len(data) != total:
+        if len(data) < total:
+            raise Truncated(f"declared {total} bytes, have {len(data)}")
         raise MalformedFrame(f"{len(data) - total} trailing bytes after frame")
 
     view = data if isinstance(data, memoryview) else memoryview(data)
-    crc = zlib.crc32(view[:_CHECKSUM_OFFSET])
-    crc = zlib.crc32(_ZERO_CHECKSUM, crc)
+    crc = zlib.crc32(_ZERO_CHECKSUM, zlib.crc32(view[:_CHECKSUM_OFFSET]))
     crc = zlib.crc32(view[HEADER_SIZE:], crc)
     if crc != checksum:
         raise ChecksumMismatch(f"declared {checksum:#010x}, computed {crc:#010x}")
-    return Frame(
-        kind,
-        status,
-        function_id,
-        correlation_id,
-        bytes(view[HEADER_SIZE:params_end]),
-        bytes(view[params_end:]),
-    )
+    params = bytes(view[HEADER_SIZE:params_end])
+    payload = bytes(view[params_end:])
+    return _new_frame(Frame, (kind, status, function_id, correlation_id, params, payload))
 
 
 class FrameDecoder:
     """Incremental decoder for a byte stream of concatenated frames.
 
-    Feed arbitrary chunks with `feed`; pull completed frames with
-    `next_frame`, which returns None while the buffered bytes are only a
-    frame prefix and raises as soon as the stream head is invalid.
-    Iterating the concatenation of N encoded frames yields exactly those
-    N frames in order.
+    Feed arbitrary chunks with `feed`; take every completed frame at
+    once with `frames`, or one at a time with `next_frame`.  Both run
+    one parse loop over one view of the buffer and compact it once.  A
+    bad frame raises; the frames decoded before it are returned first,
+    and the bad frame stays at the head, so the next call raises.
+    Decoding the concatenation of N encoded frames, however it is
+    chunked, yields exactly those N frames in order.
     """
 
     def __init__(self, max_body: int = DEFAULT_MAX_BODY):
@@ -278,21 +284,43 @@ class FrameDecoder:
     def feed(self, data: bytes) -> None:
         self._buf += data
 
+    def frames(self) -> list[Frame]:
+        """Every complete frame buffered, in order; [] while none is."""
+        return self._parse(-1)
+
     def next_frame(self) -> Frame | None:
-        buf = self._buf
-        # Reject garbage before buffering up to a bogus declared length.
-        header = _parse_header(buf, self._max_body)
-        if header is None:
-            return None
-        total = HEADER_SIZE + header[6] + header[7]  # params_len + payload_len
-        if len(buf) < total:
-            return None
-        # Release both views even when decode_frame raises, or the
+        """The next complete frame, or None while only a prefix is buffered."""
+        frames = self._parse(1)
+        return frames[0] if frames else None
+
+    def _parse(self, most: int) -> list[Frame]:
+        """Decode up to `most` frames (all if negative) from the buffer."""
+        buf, max_body = self._buf, self._max_body
+        out: list[Frame] = []
+        start = 0
+        # Release every view even when decode_frame raises, or the
         # buffer could not be resized while the traceback lives.
-        with memoryview(buf) as view, view[:total] as frame_bytes:
-            frame = decode_frame(frame_bytes, max_body=self._max_body, header=header)
-        del buf[:total]
-        return frame
+        with memoryview(buf) as view:
+            try:
+                while len(out) != most:
+                    # Reject garbage before buffering up to a bogus
+                    # declared length.
+                    header = _parse_header(view, max_body, start)
+                    if header is None:
+                        break
+                    end = start + HEADER_SIZE + header[6] + header[7]
+                    if end > len(view):
+                        break
+                    with view[start:end] as frame_bytes:
+                        out.append(
+                            decode_frame(frame_bytes, max_body=max_body, header=header)
+                        )
+                    start = end
+            except ProtocolError:
+                if not out:
+                    raise
+        del buf[:start]
+        return out
 
 
 # --- function parameters -------------------------------------------------
@@ -340,6 +368,14 @@ _LAYOUT_OF_TYPE = {
 }
 
 
+# Requests repeat a handful of params, so each side converts a given
+# params object (encode) or (function_id, bytes) pair (decode) once.
+# Failures are not cached.  A full cache starts over.
+_PARAMS_CACHE_SIZE = 256
+_encoded: dict[int, tuple[FunctionParams, bytes]] = {}
+_decoded: dict[tuple[int, bytes], FunctionParams] = {}
+
+
 def _check_params(params: FunctionParams) -> None:
     """Raise MalformedParams unless `params` obeys docs/wire.md's rules."""
     ec = isinstance(params, (EcEncodeParams, EcDecodeParams))
@@ -355,29 +391,47 @@ def _check_params(params: FunctionParams) -> None:
 def encode_params(params: FunctionParams) -> bytes:
     """Serialize function parameters to their fixed per-variant layout.
 
+    Params are frozen, so an object encoded once is not encoded again.
+
     Raises:
         TypeError: `params` is not a FunctionParams.
         MalformedParams: A field breaks a rule of docs/wire.md.
         ValueError: Another field does not fit its wire width.
     """
+    # Keyed by identity, since equal params of unequal field types (1
+    # and 1.0) do not encode alike; the entry keeps its object alive.
+    hit = _encoded.get(id(params))
+    if hit is not None and hit[0] is params:
+        return hit[1]
     try:
         layout, names = _LAYOUT_OF_TYPE[type(params)]
     except KeyError:
         raise TypeError(f"not a FunctionParams: {params!r}") from None
     _check_params(params)
     try:
-        return layout.pack(*[getattr(params, name) for name in names])
+        raw = layout.pack(*[getattr(params, name) for name in names])
     except struct.error as exc:
         raise ValueError(f"{params!r} does not fit its layout: {exc}") from None
+    if len(_encoded) >= _PARAMS_CACHE_SIZE:
+        _encoded.clear()
+    _encoded[id(params)] = (params, raw)
+    return raw
 
 
 def decode_params(function_id: int, data: bytes) -> FunctionParams:
     """Parse a request's parameter bytes for the given function id.
 
+    Equal arguments give the same (frozen) params object.
+
     Raises:
         MalformedParams: Unknown function id, wrong length for the
             function's layout, or invariant-violating field values.
     """
+    # Another buffer could change after the call; only bytes are cached.
+    key = (function_id, data) if type(data) is bytes else None
+    params = _decoded.get(key)
+    if params is not None:
+        return params
     if function_id not in PARAMS_LAYOUTS:
         raise MalformedParams(f"unknown function_id {function_id}")
     cls, layout = PARAMS_LAYOUTS[function_id]
@@ -385,6 +439,10 @@ def decode_params(function_id: int, data: bytes) -> FunctionParams:
         raise MalformedParams(f"expected {layout.size} bytes, got {len(data)}")
     params = cls(*layout.unpack(data))
     _check_params(params)
+    if key is not None:
+        if len(_decoded) >= _PARAMS_CACHE_SIZE:
+            _decoded.clear()
+        _decoded[key] = params
     return params
 
 
@@ -400,7 +458,9 @@ def request(
     that cannot go on the wire fails where it is built.
     """
     raw = params if isinstance(params, bytes) else encode_params(params)
-    frame = Frame(KIND_REQUEST, Status.OK, function_id, correlation_id, raw, payload)
+    frame = _new_frame(
+        Frame, (KIND_REQUEST, _OK, function_id, correlation_id, raw, payload)
+    )
     _check_frame(frame)
     return frame
 
@@ -413,7 +473,11 @@ def response(
     On failure (nonzero status) the payload is empty and `detail`, if
     any, travels in the params field as UTF-8.
     """
-    head = (KIND_RESPONSE, status, req.function_id, req.correlation_id)
-    if status == Status.OK:
-        return Frame(*head, b"", payload)
-    return Frame(*head, detail.encode("utf-8"))
+    _, _, function_id, correlation_id, _, _ = req
+    if status == _OK:
+        params = b""
+    else:
+        params, payload = detail.encode("utf-8"), b""
+    return _new_frame(
+        Frame, (KIND_RESPONSE, status, function_id, correlation_id, params, payload)
+    )

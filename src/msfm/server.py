@@ -103,6 +103,9 @@ def default_registry(functions: str = "compress,ec") -> dict[int, Handler]:
     return registry
 
 
+_OK = Status.OK  # an enum member lookup costs a class attribute search
+
+
 def dispatch(request: Frame, registry: dict[int, Handler]) -> Frame:
     """Execute one request frame and build its response frame.
 
@@ -110,28 +113,35 @@ def dispatch(request: Frame, registry: dict[int, Handler]) -> Frame:
     failures all come back as response frames with a nonzero status and
     a UTF-8 error detail in the params field.  Deterministic for a
     given (function_id, params, payload).
+
+    The server's readers call it once per request frame as this
+    module's `dispatch`, and an in-process Client as `client.dispatch`,
+    so a wrapper put on either attribute sees every call.  Params come
+    from `protocol.decode_params`, which decodes each distinct
+    (function_id, params bytes) once.
     """
-    if request.kind != protocol.KIND_REQUEST:
+    kind, _, function_id, _, raw_params, payload = request
+    if kind != protocol.KIND_REQUEST:
         return protocol.response(
             request, Status.MALFORMED_PARAMS, detail="frame is not a request"
         )
-    handler = registry.get(request.function_id)
+    handler = registry.get(function_id)
     if handler is None:
         return protocol.response(
             request,
             Status.UNSUPPORTED_FUNCTION,
-            detail=f"function_id {request.function_id} not registered",
+            detail=f"function_id {function_id} not registered",
         )
     try:
-        params = protocol.decode_params(request.function_id, request.params)
+        params = protocol.decode_params(function_id, raw_params)
     except protocol.MalformedParams as exc:
         return protocol.response(request, Status.MALFORMED_PARAMS, detail=str(exc))
     try:
-        result = handler(params, request.payload)
+        result = handler(params, payload)
     except Exception as exc:  # noqa: BLE001 — all failures become frames
         detail = f"{type(exc).__name__}: {exc}"
         return protocol.response(request, Status.FUNCTION_FAILURE, detail=detail)
-    return protocol.response(request, Status.OK, result)
+    return protocol.response(request, _OK, result)
 
 
 @dataclass
@@ -186,6 +196,10 @@ class Server(socketserver.ThreadingTCPServer):
         """Stop accepting, answer what each connection has read, close."""
         serve_thread, self._serve_thread = self._serve_thread, None
         if serve_thread is not None:
+            # On Linux this wakes serve_forever's select at once; where
+            # it does not, shutdown() waits out the 0.2 s poll.
+            with contextlib.suppress(OSError):
+                self.socket.shutdown(socket.SHUT_RD)
             self.shutdown()  # waits for serve_forever, so only once it ran
             serve_thread.join()
         # Readers stop once _serve_thread is None; SHUT_RD wakes them in recv.
@@ -244,14 +258,10 @@ class _Connection(socketserver.BaseRequestHandler):
                 if not size:
                     break
                 decoder.feed(chunk[:size])
-                frames: list[Frame] = []
-                try:
-                    while (frame := decoder.next_frame()) is not None:
-                        frames.append(frame)
-                finally:
-                    # Frames decoded before a bad one are still answered.
-                    if frames:
-                        self._write([dispatch(f, registry) for f in frames])
+                # Frames decoded before a bad one are still answered: the
+                # call after the one that returns them raises.
+                while frames := decoder.frames():
+                    self._write([dispatch(frame, registry) for frame in frames])
         except protocol.ProtocolError as exc:
             log.warning("closing connection after decode error: %s", exc)
             # Best effort; correlation id 0 stands for the connection.
@@ -261,7 +271,7 @@ class _Connection(socketserver.BaseRequestHandler):
             )
 
     def _write(self, frames: list[Frame]) -> None:
-        encoded = b"".join(protocol.encode_frame(frame) for frame in frames)
+        encoded = b"".join([protocol.encode_frame(frame) for frame in frames])
         try:
             self.request.sendall(encoded)
         except OSError:

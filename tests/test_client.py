@@ -323,6 +323,55 @@ def test_timeout_soundness_with_virtual_clock():
     client.close()
 
 
+class ScriptedTransport(Transport):
+    """Swallows requests; each recv returns the next scripted chunk, or None."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def send(self, data, stalled):
+        pass
+
+    def recv(self, timeout):
+        return self.chunks.pop(0) if self.chunks else None
+
+    def close(self):
+        self.chunks.append(b"")
+
+
+def answer(correlation_id, payload):
+    frame = protocol.Frame(
+        protocol.KIND_RESPONSE, protocol.Status.OK, FunctionId.COMPRESS,
+        correlation_id, b"", payload,
+    )
+    return protocol.encode_frame(frame)
+
+
+def test_one_chunk_completes_only_its_live_calls():
+    transport = ScriptedTransport()
+    client = loopback_client(transport=transport)
+    timed_out = client.submit(FunctionId.COMPRESS, CompressParams(1), b"a")
+    with pytest.raises(TimedOut):
+        timed_out.await_result(timeout_ms=50)
+    done = client.submit(FunctionId.COMPRESS, CompressParams(1), b"b")
+    transport.chunks.append(answer(done.correlation_id, b"first"))
+    assert done.await_result(2000) == b"first"
+    live = client.submit(FunctionId.COMPRESS, CompressParams(1), b"c")
+    # A late answer, a duplicate and the live one, in one chunk.
+    transport.chunks.append(
+        answer(timed_out.correlation_id, b"late")
+        + answer(done.correlation_id, b"again")
+        + answer(live.correlation_id, b"live")
+    )
+    assert live.await_result(2000) == b"live"
+    assert timed_out.state is InstanceState.TIMED_OUT
+    with pytest.raises(TimedOut):
+        timed_out.await_result(2000)
+    assert done.await_result(2000) == b"first"
+    assert client._pending == {}
+    client.close()
+
+
 def test_await_twice_returns_cached_result():
     with loopback_client() as client:
         instance = client.submit(FunctionId.COMPRESS, CompressParams(1), b"zz")
@@ -574,6 +623,49 @@ def test_tcp_client_against_live_server():
             assert codec.decompress(block) == data
             with in_process_client() as local:
                 assert block == local.call(FunctionId.COMPRESS, CompressParams(2), data)
+
+
+def counting(monkeypatch, module, name, counts):
+    """Replace module.name, as the benchmark's tracer does, with a counter."""
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_wrappers_on_the_traced_layers_see_every_frame(monkeypatch):
+    # A fast path that called these through another name would hide its
+    # frames from a benchmark's per-layer trace.
+    from msfm import client as client_module, server as server_module
+
+    counts = {}
+    counting(monkeypatch, protocol, "encode_frame", counts)
+    counting(monkeypatch, protocol, "decode_frame", counts)
+    counting(monkeypatch, server_module, "dispatch", counts)
+    blocks = [bytes([n]) * 4096 for n in range(16)]
+    with Server(ServerConfig(), default_registry()) as server:
+        config = ClientConfig(mode="remote", address=server.address)
+        with Client(config) as client:
+            calls = [
+                client.submit(FunctionId.COMPRESS, CompressParams(1), block)
+                for block in blocks
+            ]
+            packed = [call.await_result() for call in calls]
+    assert [codec.decompress(block) for block in packed] == blocks
+    assert counts == {"encode_frame": 32, "decode_frame": 32, "dispatch": 16}
+
+    local = {}
+    counting(monkeypatch, client_module, "dispatch", local)
+    with in_process_client() as client:
+        calls = [
+            client.submit(FunctionId.COMPRESS, CompressParams(1), block)
+            for block in blocks
+        ]
+        assert [call.await_result() for call in calls] == packed
+    assert local == {"dispatch": 16}
 
 
 def test_tcp_transport_disables_nagle():

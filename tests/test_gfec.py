@@ -52,6 +52,14 @@ def test_gf_mul_matches_schoolbook_exhaustively():
             assert gf_mul(a, b) == schoolbook_mul(a, b), (a, b)
 
 
+def test_scalar_multiplication_tables_match_gf_mul():
+    for c in range(256):
+        row = gfec._MUL_TABLE[c]
+        assert len(row) == 256
+        for b in range(256):
+            assert row[b] == gf_mul(c, b), (c, b)
+
+
 def test_gf_mul_frozen_examples():
     assert all(gf_mul(0, x) == 0 for x in range(256))
     assert all(gf_mul(1, x) == x for x in range(256))

@@ -244,6 +244,47 @@ def test_stream_decoder_takes_more_bytes_while_a_checksum_error_is_held():
     assert caught.value is not None
 
 
+def test_frames_returns_every_complete_frame_and_keeps_a_prefix():
+    second = p.response(REQUEST, p.Status.OK, b"x" * 300)
+    stream = p.encode_frame(REQUEST) + p.encode_frame(second)
+    dec = p.FrameDecoder()
+    dec.feed(stream + stream[:30])
+    assert dec.frames() == [REQUEST, second]
+    assert dec.buffered == 30
+    assert dec.frames() == []
+    dec.feed(stream[30:])
+    assert dec.frames() == [REQUEST, second]
+    assert dec.buffered == 0
+
+
+def test_frames_returns_the_frames_before_a_bad_checksum_then_raises():
+    bad = bytearray(p.encode_frame(REQUEST))
+    bad[-1] ^= 1
+    good = p.encode_frame(REQUEST)
+    dec = p.FrameDecoder()
+    dec.feed(good + good + bytes(bad) + good)
+    assert dec.frames() == [REQUEST, REQUEST]
+    assert dec.buffered == len(bad) + len(good)
+    with pytest.raises(p.ChecksumMismatch):
+        dec.frames()
+    with pytest.raises(p.ChecksumMismatch):
+        dec.next_frame()
+
+
+def test_frames_takes_more_bytes_while_a_checksum_error_is_held():
+    # As for next_frame: the caught error's traceback must not keep the
+    # buffer from growing.
+    enc = bytearray(p.encode_frame(REQUEST))
+    enc[-1] ^= 1
+    dec = p.FrameDecoder()
+    dec.feed(bytes(enc))
+    with pytest.raises(p.ChecksumMismatch) as caught:
+        dec.frames()
+    dec.feed(b"more")
+    assert dec.buffered == len(enc) + 4
+    assert caught.value is not None
+
+
 def test_stream_decoder_enforces_body_limit_before_buffering():
     dec = p.FrameDecoder(max_body=10)
     enc = p.encode_frame(p.request(1, 1, b"", b"\x00" * 11))
@@ -365,3 +406,47 @@ def test_encode_params_rejections(params, error):
 def test_unknown_function_id_params():
     with pytest.raises(p.MalformedParams):
         p.decode_params(99, b"\x01")
+
+
+def test_malformed_params_raise_on_every_call():
+    # A failure is not cached, so the same bytes fail the same way again.
+    for _ in range(3):
+        with pytest.raises(p.MalformedParams, match="expected 1 bytes, got 2"):
+            p.decode_params(p.FunctionId.COMPRESS, b"\x01\x02")
+        with pytest.raises(p.MalformedParams, match="invalid code parameters"):
+            p.decode_params(p.FunctionId.EC_ENCODE, b"\x00\x01")
+
+
+def test_equal_params_bytes_decode_to_equal_params():
+    raw = p.encode_params(p.EcDecodeParams(4, 2, 16, 0b111011))
+    first = p.decode_params(p.FunctionId.EC_DECODE, raw)
+    again = p.decode_params(p.FunctionId.EC_DECODE, bytes(bytearray(raw)))
+    assert first == again == p.EcDecodeParams(4, 2, 16, 0b111011)
+    assert p.decode_params(p.FunctionId.DECOMPRESS, b"\x01") == p.DecompressParams(1)
+    assert p.decode_params(p.FunctionId.COMPRESS, b"\x01") == p.CompressParams(1)
+
+
+def test_an_invalid_params_object_raises_on_every_call():
+    bad = p.EcEncodeParams(0, 1)
+    wide = p.CompressParams(256)
+    for _ in range(3):
+        with pytest.raises(p.MalformedParams):
+            p.encode_params(bad)
+        with pytest.raises(ValueError):
+            p.encode_params(wide)
+
+
+def test_params_equal_to_encoded_ones_are_still_checked():
+    # 1.0 == 1, but a float does not fit the u8 layout.
+    assert p.encode_params(p.CompressParams(1)) == b"\x01"
+    with pytest.raises(ValueError):
+        p.encode_params(p.CompressParams(1.0))
+
+
+def test_params_caches_stay_bounded():
+    for shard_size in range(1, 4 * p._PARAMS_CACHE_SIZE):
+        params = p.EcDecodeParams(4, 2, shard_size, 0b1111)
+        raw = p.encode_params(params)
+        assert p.decode_params(p.FunctionId.EC_DECODE, raw) == params
+    assert len(p._encoded) <= p._PARAMS_CACHE_SIZE
+    assert len(p._decoded) <= p._PARAMS_CACHE_SIZE

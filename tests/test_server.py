@@ -323,6 +323,14 @@ def test_stop_joins_every_thread_the_server_started():
     server.stop()  # idempotent
 
 
+def test_stop_of_an_idle_server_does_not_wait_out_the_accept_poll():
+    server = Server(ServerConfig(), REGISTRY).start()
+    time.sleep(0.05)  # let serve_forever reach its select
+    began = time.monotonic()
+    server.stop()
+    assert time.monotonic() - began < 0.05
+
+
 def test_stop_does_not_answer_a_request_that_arrives_after_it_began():
     started = threading.Event()
     release = threading.Event()
