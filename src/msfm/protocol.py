@@ -368,11 +368,12 @@ _LAYOUT_OF_TYPE = {
 }
 
 
-# Requests repeat a handful of params, so each side converts a given
-# params object (encode) or (function_id, bytes) pair (decode) once.
-# Failures are not cached.  A full cache starts over.
+# Requests repeat a handful of params.  The params object encoded last
+# is kept with its bytes, since pipelined calls pass one object many
+# times; and the server decodes each (function_id, bytes) pair once.
+# Failures are not cached.  A full decode cache starts over.
+_last_encoded: tuple[object, bytes] = (object(), b"")
 _PARAMS_CACHE_SIZE = 256
-_encoded: dict[int, tuple[FunctionParams, bytes]] = {}
 _decoded: dict[tuple[int, bytes], FunctionParams] = {}
 
 
@@ -391,18 +392,19 @@ def _check_params(params: FunctionParams) -> None:
 def encode_params(params: FunctionParams) -> bytes:
     """Serialize function parameters to their fixed per-variant layout.
 
-    Params are frozen, so an object encoded once is not encoded again.
+    Params are frozen, so the object encoded last is not encoded again.
 
     Raises:
         TypeError: `params` is not a FunctionParams.
         MalformedParams: A field breaks a rule of docs/wire.md.
         ValueError: Another field does not fit its wire width.
     """
-    # Keyed by identity, since equal params of unequal field types (1
-    # and 1.0) do not encode alike; the entry keeps its object alive.
-    hit = _encoded.get(id(params))
-    if hit is not None and hit[0] is params:
-        return hit[1]
+    global _last_encoded
+    # By identity: equal params of unequal field types (1 and 1.0) do
+    # not encode alike.
+    last, raw = _last_encoded
+    if last is params:
+        return raw
     try:
         layout, names = _LAYOUT_OF_TYPE[type(params)]
     except KeyError:
@@ -412,9 +414,7 @@ def encode_params(params: FunctionParams) -> bytes:
         raw = layout.pack(*[getattr(params, name) for name in names])
     except struct.error as exc:
         raise ValueError(f"{params!r} does not fit its layout: {exc}") from None
-    if len(_encoded) >= _PARAMS_CACHE_SIZE:
-        _encoded.clear()
-    _encoded[id(params)] = (params, raw)
+    _last_encoded = (params, raw)
     return raw
 
 
