@@ -192,9 +192,11 @@ def _parse_header(
     `max_body`.
     """
     if len(buf) - offset < HEADER_SIZE:
-        magic = buf[offset : offset + len(MAGIC)]
-        if len(magic) == len(MAGIC) and magic != MAGIC:
-            raise MalformedFrame(f"bad magic: {bytes(magic)!r}")
+        if len(buf) - offset >= len(MAGIC):
+            # A copy, not a view: a view in the traceback would pin `buf`.
+            magic = bytes(buf[offset : offset + len(MAGIC)])
+            if magic != MAGIC:
+                raise MalformedFrame(f"bad magic: {magic!r}")
         return None
     header = _HEADER.unpack_from(buf, offset)
     magic, version, kind, _, _, _, params_len, payload_len, _ = header

@@ -285,6 +285,17 @@ def test_frames_takes_more_bytes_while_a_checksum_error_is_held():
     assert caught.value is not None
 
 
+def test_frames_takes_more_bytes_while_a_short_bad_magic_error_is_held():
+    dec = p.FrameDecoder()
+    dec.feed(p.encode_frame(REQUEST) + b"XXXXX")
+    assert dec.frames() == [REQUEST]
+    with pytest.raises(p.MalformedFrame, match="bad magic") as caught:
+        dec.frames()
+    dec.feed(b"more")
+    assert dec.buffered == 9
+    assert caught.value is not None
+
+
 def test_stream_decoder_enforces_body_limit_before_buffering():
     dec = p.FrameDecoder(max_body=10)
     enc = p.encode_frame(p.request(1, 1, b"", b"\x00" * 11))
