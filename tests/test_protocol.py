@@ -3,6 +3,8 @@
 import dataclasses
 import re
 import struct
+import sys
+import threading
 import zlib
 from pathlib import Path
 
@@ -460,3 +462,34 @@ def test_the_params_decode_cache_stays_bounded():
         raw = p.encode_params(params)
         assert p.decode_params(p.FunctionId.EC_DECODE, raw) == params
     assert len(p._decoded) <= p._PARAMS_CACHE_SIZE
+
+
+def test_threads_sharing_the_params_caches_get_their_own_params():
+    # Each thread's params differ, so a cache entry handed to the wrong
+    # thread, or bytes paired with the wrong object, shows.
+    errors = []
+
+    def work(base):
+        for shard_size in range(base, base + 200):
+            params = p.EcDecodeParams(4, 2, shard_size, 0b110111)
+            expected = struct.pack("<BBII", 4, 2, shard_size, 0b110111)
+            for _ in range(3):  # a pipelined caller reuses its params
+                if p.encode_params(params) != expected:
+                    errors.append(("encode", shard_size))
+                if p.decode_params(p.FunctionId.EC_DECODE, expected) != params:
+                    errors.append(("decode", shard_size))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=work, args=(1 + 1000 * n,)) for n in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
