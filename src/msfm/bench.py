@@ -27,6 +27,7 @@ codec speed (at the cost of determinism).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import heapq
 import itertools
@@ -341,12 +342,16 @@ def _do_put(
     return sum(p.length for p in manifest.placements)
 
 
+# The function whose request a put sends, per transform ("none" sends none).
+_PUT_FUNCTION = {
+    "compress": protocol.FunctionId.COMPRESS,
+    "ec": protocol.FunctionId.EC_ENCODE,
+}
+
+
 def _params_overhead(spec: BenchSpec) -> int:
-    if spec.transform == "compress":
-        return 1
-    if spec.transform == "ec":
-        return 2
-    return 0
+    function_id = _PUT_FUNCTION.get(spec.transform)
+    return 0 if function_id is None else protocol.PARAMS_LAYOUTS[function_id][1].size
 
 
 def _percentile(sorted_us: list[float], q: float) -> float:
@@ -500,16 +505,22 @@ def _run_tcp(spec: BenchSpec) -> BenchReport:
     """Wall-clock run against a real loopback server.
 
     `iodepth` submitter threads share one pipelined connection (in
-    instance mode), so in-flight requests equal iodepth.  Failed puts
-    count as errors and contribute no latency sample.
+    instance mode), so in-flight requests equal iodepth.  Compressor
+    mode starts no server.  Failed puts count as errors and contribute
+    no latency sample.
     """
     counter = itertools.count()
     latencies: list[list[float]] = [[] for _ in range(spec.iodepth)]
     errors = [0] * spec.iodepth
 
-    with Server(ServerConfig(), default_registry()) as server:
+    serving = (
+        Server(ServerConfig(), default_registry())
+        if spec.mode == MODE_INSTANCE
+        else contextlib.nullcontext()
+    )
+    with serving as server:
         client = None
-        if spec.mode == MODE_INSTANCE:
+        if server is not None:
             client = Client(
                 ClientConfig(
                     mode=MODE_REMOTE,

@@ -33,14 +33,15 @@ behavioral difference between the modes is a bug, not a mode property.
 Both the clock and the transport are injectable, which keeps timeout
 logic and network behavior testable without real sleeping or sockets.
 
-Failure policy: at most `max_queue_depth` requests may be queued or
-being written at once (in-process: being run in submit), and one more
-raises Backpressure instead of blocking.  A response that arrives after
-its Instance timed out is discarded.  A transport failure fails every
-in-flight Instance with TransportError, queued ones included, and
-close() fails them with ClientClosed without sending them; the client
-does not reconnect mid-stream (a failed initial connect is retried
-with backoff; failover is out of scope).
+Failure policy: in remote mode at most `max_queue_depth` requests may
+be queued or being written at once, and one more raises Backpressure
+instead of blocking; in-process mode runs each call before submit
+returns, so it queues nothing and never raises Backpressure.  A
+response that arrives after its Instance timed out is discarded.  A
+transport failure fails every in-flight Instance with TransportError,
+queued ones included, and close() fails them with ClientClosed without
+sending them; the client does not reconnect mid-stream (a failed
+initial connect is retried with backoff; failover is out of scope).
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class ClientError(Exception):
 
 
 class Backpressure(ClientError):
-    """max_queue_depth requests are already queued or being written."""
+    """max_queue_depth remote requests are already queued or being written."""
 
 
 class ClientClosed(ClientError):
@@ -220,8 +221,8 @@ class ClientConfig:
     """Execution mode and limits.  timeout_ms > 0, max_queue_depth >= 1.
 
     max_queue_depth bounds the requests that are queued or being
-    written (in-process mode: being run in submit); a full queue is
-    written at once, so it also caps the requests one send carries.
+    written in remote mode; a full queue is written at once, so it also
+    caps the requests one send carries.  In-process mode ignores it.
     """
 
     mode: str = MODE_IN_PROCESS
@@ -407,8 +408,8 @@ class Client:
         returning.
 
         Raises:
-            Backpressure: max_queue_depth requests are already queued
-                or being written (in-process: being run).
+            Backpressure: In remote mode, max_queue_depth requests are
+                already queued or being written.
             ClientClosed: close() was called or the connection died.
             ValueError: The request cannot be encoded as a frame (for
                 example a function id beyond u16), in either mode;
@@ -417,15 +418,9 @@ class Client:
         if self._closed.is_set():
             raise ClientClosed("client is closed")
         if self.config.mode == MODE_IN_PROCESS:
-            with self._pending_lock:
-                self._take_slot()
-            try:
-                frame = protocol.request(function_id, self._next_id(), params, payload)
-                instance = Instance(self, function_id, frame.correlation_id)
-                self._deliver(instance, dispatch(frame, self._registry))
-            finally:
-                with self._pending_lock:
-                    self._unwritten -= 1
+            frame = protocol.request(function_id, self._next_id(), params, payload)
+            instance = Instance(self, function_id, frame.correlation_id)
+            self._deliver(instance, dispatch(frame, self._registry))
             return instance
         # encode_frame checks every field as protocol.request would.
         raw = params if isinstance(params, bytes) else protocol.encode_params(params)
@@ -482,13 +477,6 @@ class Client:
             if correlation_id not in self._pending:
                 return correlation_id
 
-    def _take_slot(self) -> None:
-        """Count one more unwritten request; the caller holds _pending_lock."""
-        depth = self.config.max_queue_depth
-        if self._unwritten >= depth:
-            raise Backpressure(f"{depth} requests already queued or being written")
-        self._unwritten += 1
-
     def _enqueue(self, instance: Instance, data: bytes) -> None:
         """Queue an encoded request; write the queue if it is full."""
         with self._pending_lock:
@@ -496,7 +484,10 @@ class Client:
             # queued after close() cannot be left unfailed.
             if self._closed.is_set():
                 raise ClientClosed("client is closed")
-            self._take_slot()
+            depth = self.config.max_queue_depth
+            if self._unwritten >= depth:
+                raise Backpressure(f"{depth} requests already queued or being written")
+            self._unwritten += 1
             self._pending[instance.correlation_id] = instance
             self._outbox.append(data)
             self._outbox_bytes += len(data)

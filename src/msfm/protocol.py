@@ -29,9 +29,9 @@ docs/wire.md, which also has golden vectors.
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
-from dataclasses import dataclass, fields
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -327,24 +327,20 @@ class FrameDecoder:
 
 # --- function parameters -------------------------------------------------
 
-@dataclass(frozen=True)
-class CompressParams:
+class CompressParams(NamedTuple):
     codec_id: int
 
 
-@dataclass(frozen=True)
-class DecompressParams:
+class DecompressParams(NamedTuple):
     codec_id: int
 
 
-@dataclass(frozen=True)
-class EcEncodeParams:
+class EcEncodeParams(NamedTuple):
     k: int
     m: int
 
 
-@dataclass(frozen=True)
-class EcDecodeParams:
+class EcDecodeParams(NamedTuple):
     k: int
     m: int
     shard_size: int
@@ -364,19 +360,7 @@ PARAMS_LAYOUTS: dict[int, tuple[type, struct.Struct]] = {
     FunctionId.EC_DECODE: (EcDecodeParams, struct.Struct("<BBII")),
 }
 
-_LAYOUT_OF_TYPE = {
-    cls: (layout, tuple(f.name for f in fields(cls)))
-    for cls, layout in PARAMS_LAYOUTS.values()
-}
-
-
-# Requests repeat a handful of params.  The params object encoded last
-# is kept with its bytes, since pipelined calls pass one object many
-# times; and the server decodes each (function_id, bytes) pair once.
-# Failures are not cached.  A full decode cache starts over.
-_last_encoded: tuple[object, bytes] = (object(), b"")
-_PARAMS_CACHE_SIZE = 256
-_decoded: dict[tuple[int, bytes], FunctionParams] = {}
+_LAYOUT_OF_TYPE = dict(PARAMS_LAYOUTS.values())
 
 
 def _check_params(params: FunctionParams) -> None:
@@ -394,46 +378,39 @@ def _check_params(params: FunctionParams) -> None:
 def encode_params(params: FunctionParams) -> bytes:
     """Serialize function parameters to their fixed per-variant layout.
 
-    Params are frozen, so the object encoded last is not encoded again.
-
     Raises:
         TypeError: `params` is not a FunctionParams.
         MalformedParams: A field breaks a rule of docs/wire.md.
         ValueError: Another field does not fit its wire width.
     """
-    global _last_encoded
-    # By identity: equal params of unequal field types (1 and 1.0) do
-    # not encode alike.
-    last, raw = _last_encoded
-    if last is params:
-        return raw
     try:
-        layout, names = _LAYOUT_OF_TYPE[type(params)]
+        layout = _LAYOUT_OF_TYPE[type(params)]
     except KeyError:
         raise TypeError(f"not a FunctionParams: {params!r}") from None
     _check_params(params)
     try:
-        raw = layout.pack(*[getattr(params, name) for name in names])
+        return layout.pack(*params)
     except struct.error as exc:
         raise ValueError(f"{params!r} does not fit its layout: {exc}") from None
-    _last_encoded = (params, raw)
-    return raw
 
 
 def decode_params(function_id: int, data: bytes) -> FunctionParams:
     """Parse a request's parameter bytes for the given function id.
 
-    Equal arguments give the same (frozen) params object.
+    Equal arguments give the same (immutable) params object.
 
     Raises:
         MalformedParams: Unknown function id, wrong length for the
             function's layout, or invariant-violating field values.
     """
-    # Another buffer could change after the call; only bytes are cached.
-    key = (function_id, data) if type(data) is bytes else None
-    params = _decoded.get(key)
-    if params is not None:
-        return params
+    # The cache keeps its key: another buffer could change after the call.
+    return _decode_params(function_id, data if type(data) is bytes else bytes(data))
+
+
+# Requests repeat a handful of params bytes.  A call that raises is
+# not cached.
+@functools.lru_cache(maxsize=256)
+def _decode_params(function_id: int, data: bytes) -> FunctionParams:
     if function_id not in PARAMS_LAYOUTS:
         raise MalformedParams(f"unknown function_id {function_id}")
     cls, layout = PARAMS_LAYOUTS[function_id]
@@ -441,10 +418,6 @@ def decode_params(function_id: int, data: bytes) -> FunctionParams:
         raise MalformedParams(f"expected {layout.size} bytes, got {len(data)}")
     params = cls(*layout.unpack(data))
     _check_params(params)
-    if key is not None:
-        if len(_decoded) >= _PARAMS_CACHE_SIZE:
-            _decoded.clear()
-        _decoded[key] = params
     return params
 
 

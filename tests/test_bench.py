@@ -337,6 +337,17 @@ def test_tcp_transport_round_trip():
     assert inst.stored_bytes == comp.stored_bytes
 
 
+def test_tcp_compressor_mode_starts_no_server(monkeypatch):
+    def no_server(*args, **kwargs):
+        raise AssertionError("compressor mode started a server")
+
+    monkeypatch.setattr(bench, "Server", no_server)
+    spec = BenchSpec(block_size=4096, ops=8, transport="tcp", mode="compressor")
+    report = run(spec)
+    assert report.completed == 8
+    assert report.errors == 0
+
+
 def test_tcp_latency_excludes_block_generation(monkeypatch):
     fill_block = bench._fill_block
 

@@ -169,6 +169,40 @@ def test_instance_states_in_process():
         assert second.correlation_id == 2  # monotonic per client
 
 
+def test_in_process_calls_meet_no_queue_limit(monkeypatch):
+    # In-process calls run before submit returns and queue nothing, so
+    # a call still running takes no slot from another thread's call.
+    from msfm import client as client_module
+
+    entered, release = threading.Event(), threading.Event()
+    original = client_module.dispatch
+
+    def held(frame, registry):
+        if frame.payload == b"held":
+            entered.set()
+            assert release.wait(5)
+        return original(frame, registry)
+
+    monkeypatch.setattr(client_module, "dispatch", held)
+    with in_process_client(max_queue_depth=1) as client:
+        results = []
+        first = threading.Thread(
+            target=lambda: results.append(
+                client.call(FunctionId.COMPRESS, CompressParams(1), b"held")
+            )
+        )
+        first.start()
+        try:
+            assert entered.wait(5)
+            block = client.call(FunctionId.COMPRESS, CompressParams(1), b"free")
+            assert codec.decompress(block) == b"free"
+        finally:
+            release.set()
+            first.join(5)
+        assert not first.is_alive()
+        assert [codec.decompress(block) for block in results] == [b"held"]
+
+
 # --- remote mode over the loopback transport ---------------------------------
 
 def test_remote_equals_in_process_byte_for_byte():

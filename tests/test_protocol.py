@@ -1,6 +1,5 @@
 """Wire format tests: golden vectors, round-trips, corruption, streaming."""
 
-import dataclasses
 import re
 import struct
 import sys
@@ -93,7 +92,7 @@ def test_params_layouts_match_docs_table():
         cls, layout = p.PARAMS_LAYOUTS[function_id]
         assert p.FunctionId(function_id).name.lower() == name
         names = [field for field, _ in doc_fields]
-        assert [f.name for f in dataclasses.fields(cls)] == names
+        assert list(cls._fields) == names
         assert layout.format == "<" + "".join(_WIDTHS[w][0] for _, w in doc_fields)
         # All ones is a valid value of every field of every layout.
         encoded = p.encode_params(cls(*[1] * len(names)))
@@ -457,11 +456,31 @@ def test_params_equal_to_encoded_ones_are_still_checked():
 
 
 def test_the_params_decode_cache_stays_bounded():
-    for shard_size in range(1, 4 * p._PARAMS_CACHE_SIZE):
+    maxsize = p._decode_params.cache_info().maxsize
+    for shard_size in range(1, 4 * maxsize):
         params = p.EcDecodeParams(4, 2, shard_size, 0b1111)
         raw = p.encode_params(params)
         assert p.decode_params(p.FunctionId.EC_DECODE, raw) == params
-    assert len(p._decoded) <= p._PARAMS_CACHE_SIZE
+    assert p._decode_params.cache_info().currsize <= maxsize
+
+
+@pytest.mark.parametrize(
+    "wrap",
+    [lambda buf: buf, memoryview, lambda buf: memoryview(buf).toreadonly()],
+    ids=["bytearray", "memoryview", "readonly-memoryview"],
+)
+def test_a_buffer_decodes_like_its_bytes_and_is_not_kept(wrap):
+    raw = struct.pack("<BBII", 4, 2, 77, 0b110111)
+    backing = bytearray(raw)
+    buf = wrap(backing)
+    params = p.decode_params(p.FunctionId.EC_DECODE, buf)
+    assert params == p.decode_params(p.FunctionId.EC_DECODE, raw)
+    # The cache must key on a copy: once the buffer changes, neither
+    # the original bytes nor the buffer may see the other's params.
+    backing[2] = 78
+    assert p.decode_params(p.FunctionId.EC_DECODE, raw) == params
+    changed = p.decode_params(p.FunctionId.EC_DECODE, buf)
+    assert changed == p.EcDecodeParams(4, 2, 78, 0b110111)
 
 
 def test_threads_sharing_the_params_caches_get_their_own_params():
