@@ -75,11 +75,17 @@ def test_golden_error_response_matches_docs():
     assert decoded.payload == b""
 
 
+def _typed(params):
+    # Params are NamedTuples, and CompressParams(1) == DecompressParams(1)
+    # == (1,), so a decode must be checked for its type as well as its fields.
+    return type(params), params
+
+
 def test_golden_ec_decode_params_match_docs():
     golden = doc_hex_blocks()[3]
     params = p.EcDecodeParams(k=4, m=2, shard_size=1024, present_bitmap=0b110111)
     assert p.encode_params(params) == golden
-    assert p.decode_params(p.FunctionId.EC_DECODE, golden) == params
+    assert _typed(p.decode_params(p.FunctionId.EC_DECODE, golden)) == _typed(params)
 
 
 _WIDTHS = {"u8": ("B", 1), "u32": ("I", 4)}
@@ -97,6 +103,7 @@ def test_params_layouts_match_docs_table():
         # All ones is a valid value of every field of every layout.
         encoded = p.encode_params(cls(*[1] * len(names)))
         assert len(encoded) == sum(_WIDTHS[w][1] for _, w in doc_fields)
+        assert type(p.decode_params(function_id, encoded)) is cls
 
 
 def test_header_is_25_bytes():
@@ -332,9 +339,11 @@ def test_stream_and_whole_frame_decoders_reject_a_header_alike(offset, value, er
 def test_compress_params_round_trip(codec_id):
     raw = p.encode_params(p.CompressParams(codec_id))
     assert raw == bytes([codec_id])
-    assert p.decode_params(p.FunctionId.COMPRESS, raw) == p.CompressParams(codec_id)
-    assert p.decode_params(p.FunctionId.DECOMPRESS, raw) == p.DecompressParams(
-        codec_id
+    assert _typed(p.decode_params(p.FunctionId.COMPRESS, raw)) == _typed(
+        p.CompressParams(codec_id)
+    )
+    assert _typed(p.decode_params(p.FunctionId.DECOMPRESS, raw)) == _typed(
+        p.DecompressParams(codec_id)
     )
 
 
@@ -344,7 +353,9 @@ def test_ec_encode_params_round_trip(k, m):
         m = 32 - k
     raw = p.encode_params(p.EcEncodeParams(k, m))
     assert raw == bytes([k, m])
-    assert p.decode_params(p.FunctionId.EC_ENCODE, raw) == p.EcEncodeParams(k, m)
+    assert _typed(p.decode_params(p.FunctionId.EC_ENCODE, raw)) == _typed(
+        p.EcEncodeParams(k, m)
+    )
 
 
 @given(st.data())
@@ -354,7 +365,8 @@ def test_ec_decode_params_round_trip(data):
     shard_size = data.draw(st.integers(1, 2**32 - 1))
     bitmap = data.draw(st.integers(0, (1 << (k + m)) - 1))
     params = p.EcDecodeParams(k, m, shard_size, bitmap)
-    assert p.decode_params(p.FunctionId.EC_DECODE, p.encode_params(params)) == params
+    decoded = p.decode_params(p.FunctionId.EC_DECODE, p.encode_params(params))
+    assert _typed(decoded) == _typed(params)
 
 
 @pytest.mark.parametrize(
@@ -433,9 +445,13 @@ def test_equal_params_bytes_decode_to_equal_params():
     raw = p.encode_params(p.EcDecodeParams(4, 2, 16, 0b111011))
     first = p.decode_params(p.FunctionId.EC_DECODE, raw)
     again = p.decode_params(p.FunctionId.EC_DECODE, bytes(bytearray(raw)))
-    assert first == again == p.EcDecodeParams(4, 2, 16, 0b111011)
-    assert p.decode_params(p.FunctionId.DECOMPRESS, b"\x01") == p.DecompressParams(1)
-    assert p.decode_params(p.FunctionId.COMPRESS, b"\x01") == p.CompressParams(1)
+    expected = _typed(p.EcDecodeParams(4, 2, 16, 0b111011))
+    assert _typed(first) == _typed(again) == expected
+    # The same bytes under another function id decode to that function's type.
+    decompress = p.decode_params(p.FunctionId.DECOMPRESS, b"\x01")
+    compress = p.decode_params(p.FunctionId.COMPRESS, b"\x01")
+    assert _typed(decompress) == _typed(p.DecompressParams(1))
+    assert _typed(compress) == _typed(p.CompressParams(1))
 
 
 def test_an_invalid_params_object_raises_on_every_call():
@@ -460,7 +476,8 @@ def test_the_params_decode_cache_stays_bounded():
     for shard_size in range(1, 4 * maxsize):
         params = p.EcDecodeParams(4, 2, shard_size, 0b1111)
         raw = p.encode_params(params)
-        assert p.decode_params(p.FunctionId.EC_DECODE, raw) == params
+        decoded = p.decode_params(p.FunctionId.EC_DECODE, raw)
+        assert _typed(decoded) == _typed(params)
     assert p._decode_params.cache_info().currsize <= maxsize
 
 
@@ -474,13 +491,13 @@ def test_a_buffer_decodes_like_its_bytes_and_is_not_kept(wrap):
     backing = bytearray(raw)
     buf = wrap(backing)
     params = p.decode_params(p.FunctionId.EC_DECODE, buf)
-    assert params == p.decode_params(p.FunctionId.EC_DECODE, raw)
+    assert _typed(params) == _typed(p.decode_params(p.FunctionId.EC_DECODE, raw))
     # The cache must key on a copy: once the buffer changes, neither
     # the original bytes nor the buffer may see the other's params.
     backing[2] = 78
-    assert p.decode_params(p.FunctionId.EC_DECODE, raw) == params
+    assert _typed(p.decode_params(p.FunctionId.EC_DECODE, raw)) == _typed(params)
     changed = p.decode_params(p.FunctionId.EC_DECODE, buf)
-    assert changed == p.EcDecodeParams(4, 2, 78, 0b110111)
+    assert _typed(changed) == _typed(p.EcDecodeParams(4, 2, 78, 0b110111))
 
 
 def test_threads_sharing_the_params_caches_get_their_own_params():
@@ -495,7 +512,8 @@ def test_threads_sharing_the_params_caches_get_their_own_params():
             for _ in range(3):  # a pipelined caller reuses its params
                 if p.encode_params(params) != expected:
                     errors.append(("encode", shard_size))
-                if p.decode_params(p.FunctionId.EC_DECODE, expected) != params:
+                decoded = p.decode_params(p.FunctionId.EC_DECODE, expected)
+                if _typed(decoded) != _typed(params):
                     errors.append(("decode", shard_size))
 
     interval = sys.getswitchinterval()
