@@ -1,32 +1,51 @@
-"""Mini object store: transforms on the write path, shards across OSDs.
+"""Mini object store: transforms on the write path, blobs across OSDs.
 
 The IO application of this package.  `put` optionally compresses the
 object or erasure-codes it into k+m shards before writing to simulated
-OSD targets; `get` reverses the transform, reading any k live shards in
-the EC case.  Every transform runs through the client SDK — either an
-in-process client (the default) or a caller-supplied remote client —
-so the store behaves identically regardless of where the function
-executes, and stored bytes are identical either way.
+OSD targets; `get` reverses the transform.  Every transform runs through
+the client SDK — either an in-process client (the default) or a
+caller-supplied remote client — so the store behaves identically
+regardless of where the function executes, and stored bytes are
+identical either way.
 
-Placement is deterministic: shard i of an object lands on the
-(crc32(name) + i)-th live OSD, counting modulo the live set in id
+One rule places every object.  An object is n blobs: one for `none` and
+`compress`, k+m for EC, and any k of them rebuild it (k = 1 unless EC).
+Blob i of a put with generation g is stored under the key `name/g/i` on
+the (crc32(name) + i)-th live OSD, counting modulo the live set in id
 order.  CRC-32 rather than Python's hash() because the latter is
 randomized per process and placement must be reproducible.
 
+Each put takes a generation that no other put of the store uses and
+that is greater than the one of the manifest it replaces, so it never
+writes over a blob a manifest names.  It writes its blobs, commits by
+replacing the manifest (on disk, then in memory, both under the store
+lock), and only then deletes the blobs of the manifest it replaced.
+Hence:
+
+- a put that fails before its commit deletes what it wrote, and the
+  previous version stays whole;
+- after any put, each live OSD holds exactly the blobs the current
+  manifests name; an OSD that is down during the put keeps its stale
+  copies;
+- a get that races a put of the same name may find its blobs deleted,
+  and then raises rather than return other bytes.
+
 Each object's manifest records everything `get` needs (transform, raw
-length, padding, per-shard placement); there is no other metadata.
-Manifests serialize to canonical JSON — sorted keys, two-space indent —
-so equal manifests have equal encodings.
+length, padding, generation, per-blob placement); there is no other
+metadata.  Manifests serialize to canonical JSON — sorted keys,
+two-space indent — so equal manifests have equal encodings.
 
 OSD targets hold an in-memory map by default, or a directory of files
 (keys percent-encoded) when the store is rooted on disk; a `.down`
-marker keeps the alive flag persistent for the CLI.
+marker keeps the alive flag persistent for the CLI.  On disk, every blob
+and manifest is written to a temporary file, fsynced, renamed over its
+path, and its directory fsynced, so the blobs a manifest names are
+durable before that manifest is.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -35,7 +54,7 @@ import urllib.parse
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import codec as codec_mod
 from .client import Client, ClientConfig
@@ -67,8 +86,8 @@ class NotFound(StoreError):
     """Unknown object, OSD id, or unreadable blob."""
 
 
-class Unrecoverable(StoreError):
-    """EC object with fewer than k live shards remaining."""
+class Unrecoverable(NotFound):
+    """Fewer than k of an object's blobs are readable (k = 1 unless EC)."""
 
 
 @dataclass(frozen=True)
@@ -125,6 +144,7 @@ class ObjectManifest:
     placements: tuple[Placement, ...]
     shard_size: int = 0
     padding: int = 0
+    generation: int = 0
     version: int = MANIFEST_VERSION
 
     def to_json(self) -> str:
@@ -135,6 +155,7 @@ class ObjectManifest:
             "transform": self.transform,
             "shard_size": self.shard_size,
             "padding": self.padding,
+            "generation": self.generation,
             "placements": [
                 {"osd": p.osd, "key": p.key, "len": p.length}
                 for p in self.placements
@@ -156,23 +177,36 @@ class ObjectManifest:
             ),
             shard_size=record["shard_size"],
             padding=record["padding"],
+            generation=record.get("generation", 0),
         )
+
+
+def _fsync(path: Path) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _replace_file(path: Path, write: Callable[[Path], object]) -> None:
     """Have `write` fill a temporary file, then move it over `path`.
 
-    If either step fails, the temporary file is removed and `path` keeps
-    its previous contents.  The temporary name carries the thread id, so
-    two threads writing the same path never share one.
+    The file is fsynced before the rename and its directory after it, so
+    once this returns the new contents survive a crash.  If a step before
+    the rename fails, the temporary file is removed and `path` keeps its
+    previous contents.  The temporary name carries the thread id, so two
+    threads writing the same path never share one.
     """
     tmp = path.with_name(f"{path.name}.{threading.get_ident()}.tmp")
     try:
         write(tmp)
+        _fsync(tmp)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    _fsync(path.parent)
 
 
 class OsdTarget:
@@ -229,6 +263,16 @@ class OsdTarget:
                 raise NotFound(f"osd {self.id} has no blob {key!r}")
             return self._blobs[key]
 
+    def delete(self, key: str) -> None:
+        """Remove a blob; a key the OSD does not hold is no error."""
+        if not self.alive:
+            raise NotFound(f"osd {self.id} is down")
+        with self._lock:
+            if self._dir is not None:
+                self._path(key).unlink(missing_ok=True)
+            else:
+                self._blobs.pop(key, None)
+
 
 @dataclass
 class StoreStats:
@@ -250,7 +294,7 @@ class ObjectStore:
             for i in range(osd_count)
         ]
         self._manifests: dict[str, ObjectManifest] = {}
-        self._rr = itertools.count()
+        self._generation = 0
         self._local = Client(ClientConfig(mode="in-process"))
         self.stats = StoreStats()
         self._lock = threading.Lock()
@@ -279,16 +323,6 @@ class ObjectStore:
         assert self._root is not None
         return self._root / "manifests" / (urllib.parse.quote(name, safe="") + ".json")
 
-    def _save_manifest(self, manifest: ObjectManifest) -> None:
-        """Replace the manifest whole: a failed write keeps the old one."""
-        if self._root is not None:
-            text = manifest.to_json()
-            _replace_file(
-                self._manifest_path(manifest.name), lambda tmp: tmp.write_text(text)
-            )
-        with self._lock:
-            self._manifests[manifest.name] = manifest
-
     def manifest(self, name: str) -> ObjectManifest:
         with self._lock:
             if name in self._manifests:
@@ -299,86 +333,122 @@ class ObjectStore:
                 return ObjectManifest.from_json(path.read_text())
         raise NotFound(f"no object named {name!r}")
 
+    def _commit(
+        self, manifest: ObjectManifest, previous: ObjectManifest | None
+    ) -> ObjectManifest | None:
+        """Make `manifest` current on disk, then in memory.
+
+        Returns the manifest it replaced: the one in memory, or else
+        `previous`, which the put looked up before it wrote (a store that
+        has not loaded a name finds it only on disk).  A failed disk write
+        leaves the old manifest current in both.
+        """
+        with self._lock:
+            if self._root is not None:
+                text = manifest.to_json()
+                _replace_file(
+                    self._manifest_path(manifest.name),
+                    lambda tmp: tmp.write_text(text),
+                )
+            replaced = self._manifests.get(manifest.name, previous)
+            self._manifests[manifest.name] = manifest
+        return replaced
+
+    def _discard(self, placements: Iterable[Placement]) -> None:
+        """Delete blobs; an OSD that is down keeps its copy."""
+        for placement in placements:
+            try:
+                self._osd(placement.osd).delete(placement.key)
+            except NotFound:
+                pass
+
     # --- data path ------------------------------------------------------------
 
     def put(self, name: str, data: bytes, policy: ObjectPolicy) -> ObjectManifest:
         """Transform and store one object, replacing any previous version.
 
+        Plans first: the n target OSDs (one blob, or k+m for EC) and a
+        fresh generation g.  Then runs the transform, writes blob i under
+        `name/g/i`, commits the new manifest, and deletes the blobs of
+        the manifest it replaced, except on OSDs that are down.  If any
+        step before the commit fails, the put deletes the blobs it wrote
+        and raises, and the previous version stays readable.
+
         Raises:
-            PlacementError: No live OSD (blob) or fewer than k+m live
-                OSDs (EC).
+            PlacementError: Fewer live OSDs than the object has blobs;
+                raised before any transform call.
             ClientError subtypes: The transform itself failed.
+            NotFound: A target OSD went down during the put.
+            OSError: A disk-backed blob or manifest write failed.
         """
         if not name:
             raise ValueError("object name must be nonempty")
         client = policy.client or self._local
+        k, m = policy.k, policy.m
+        count = k + m if policy.transform == TRANSFORM_EC else 1
+        live = self.live_osds()
+        if len(live) < count:
+            raise PlacementError(
+                f"{policy.transform} object needs {count} live OSDs, have {len(live)}"
+            )
+        offset = zlib.crc32(name.encode("utf-8"))
+        targets = [live[(offset + i) % len(live)] for i in range(count)]
+        try:
+            previous = self.manifest(name)
+        except NotFound:
+            previous = None
+        floor = previous.generation if previous else 0
+        with self._lock:
+            self._generation = generation = max(self._generation, floor) + 1
+
+        transform: dict = {"kind": policy.transform}
+        shard_size = padding = 0
         if policy.transform == TRANSFORM_EC:
-            manifest = self._put_ec(name, data, policy, client)
+            transform.update(k=k, m=m)
+            shard_size = max(1, -(-len(data) // k))
+            padded = data.ljust(k * shard_size, b"\x00")
+            padding = len(padded) - len(data)
+            shards = client.call(FunctionId.EC_ENCODE, EcEncodeParams(k, m), padded)
+            blobs = [
+                shards[i * shard_size : (i + 1) * shard_size] for i in range(count)
+            ]
+        elif policy.transform == TRANSFORM_COMPRESS:
+            transform["codec_id"] = policy.codec_id
+            params = CompressParams(policy.codec_id)
+            blobs = [client.call(FunctionId.COMPRESS, params, data)]
         else:
-            manifest = self._put_blob(name, data, policy, client)
-        self._save_manifest(manifest)
+            blobs = [data]
+
+        placements = tuple(
+            Placement(target.id, f"{name}/{generation}/{i}", len(blob))
+            for i, (target, blob) in enumerate(zip(targets, blobs))
+        )
+        manifest = ObjectManifest(
+            name, len(data), transform, placements, shard_size, padding, generation
+        )
+        try:
+            for target, placement, blob in zip(targets, placements, blobs):
+                target.write(placement.key, blob)
+            replaced = self._commit(manifest, previous)
+        except BaseException:
+            # No other put uses this generation's keys, so deleting all of
+            # them, written or not, leaves every other version whole.
+            self._discard(placements)
+            raise
+        if replaced is not None:
+            kept = {p.key for p in placements}
+            self._discard(p for p in replaced.placements if p.key not in kept)
         with self._lock:
             self.stats.puts += 1
             self.stats.raw_bytes += len(data)
-            self.stats.stored_bytes += sum(p.length for p in manifest.placements)
+            self.stats.stored_bytes += sum(p.length for p in placements)
         return manifest
-
-    def _put_blob(
-        self, name: str, data: bytes, policy: ObjectPolicy, client: Client
-    ) -> ObjectManifest:
-        if policy.transform == TRANSFORM_COMPRESS:
-            blob = client.call(
-                FunctionId.COMPRESS, CompressParams(policy.codec_id), data
-            )
-            transform = {"kind": TRANSFORM_COMPRESS, "codec_id": policy.codec_id}
-        else:
-            blob = data
-            transform = {"kind": TRANSFORM_NONE}
-        live = self.live_osds()
-        if not live:
-            raise PlacementError("no live OSD to hold the blob")
-        target = live[next(self._rr) % len(live)]
-        key = f"{name}/blob"
-        target.write(key, blob)
-        return ObjectManifest(
-            name=name,
-            raw_len=len(data),
-            transform=transform,
-            placements=(Placement(target.id, key, len(blob)),),
-        )
-
-    def _put_ec(
-        self, name: str, data: bytes, policy: ObjectPolicy, client: Client
-    ) -> ObjectManifest:
-        k, m = policy.k, policy.m
-        live = self.live_osds()
-        if len(live) < k + m:
-            raise PlacementError(
-                f"ec({k},{m}) needs {k + m} live OSDs, have {len(live)}"
-            )
-        shard_size = max(1, -(-len(data) // k))
-        padded = data.ljust(k * shard_size, b"\x00")
-        padding = len(padded) - len(data)
-        shards_blob = client.call(FunctionId.EC_ENCODE, EcEncodeParams(k, m), padded)
-        offset = zlib.crc32(name.encode("utf-8"))
-        placements = []
-        for i in range(k + m):
-            shard = shards_blob[i * shard_size : (i + 1) * shard_size]
-            target = live[(offset + i) % len(live)]
-            key = f"{name}/{i}"
-            target.write(key, shard)
-            placements.append(Placement(target.id, key, len(shard)))
-        return ObjectManifest(
-            name=name,
-            raw_len=len(data),
-            transform={"kind": TRANSFORM_EC, "k": k, "m": m},
-            placements=tuple(placements),
-            shard_size=shard_size,
-            padding=padding,
-        )
 
     def get(self, name: str, client: Client | None = None) -> bytes:
         """Read an object back, reversing its transform.
+
+        Reads the manifest's blobs in index order until k are in hand
+        (k = 1 unless EC), skipping any whose OSD is down or lost it.
 
         Args:
             name: Object name from a previous put.
@@ -387,52 +457,37 @@ class ObjectStore:
                 identical either way).
 
         Raises:
-            NotFound: Unknown name, or a none/compress blob whose
-                holder is dead or lost the blob.
-            Unrecoverable: EC object with fewer than k readable shards.
+            NotFound: Unknown name.
+            Unrecoverable: Fewer than k blobs readable.  It subclasses
+                NotFound, so a none or compress object whose one holder
+                is down or lost the blob raises NotFound.
         """
         manifest = self.manifest(name)
         client = client or self._local
         with self._lock:
             self.stats.gets += 1
-        kind = manifest.transform["kind"]
-        if kind == TRANSFORM_EC:
-            return self._get_ec(manifest, client)
-        placement = manifest.placements[0]
-        blob = self._osd(placement.osd).read(placement.key)
-        if kind == TRANSFORM_COMPRESS:
-            return client.call(
-                FunctionId.DECOMPRESS,
-                DecompressParams(manifest.transform["codec_id"]),
-                blob,
-            )
-        return blob
-
-    def _get_ec(self, manifest: ObjectManifest, client: Client) -> bytes:
-        k = manifest.transform["k"]
-        m = manifest.transform["m"]
-        size = manifest.shard_size
-        present: list[tuple[int, bytes]] = []
+        transform = manifest.transform
+        k = transform.get("k", 1)
+        blobs: list[bytes] = []
+        present = 0
         for i, placement in enumerate(manifest.placements):
             try:
-                present.append((i, self._osd(placement.osd).read(placement.key)))
+                blobs.append(self._osd(placement.osd).read(placement.key))
             except NotFound:
                 continue
-            if len(present) == k:
-                break  # any k shards suffice
-        if len(present) < k:
-            raise Unrecoverable(
-                f"{manifest.name!r}: only {len(present)} of {k + m} shards "
-                f"readable, need {k}"
-            )
-        bitmap = 0
-        for i, _ in present:
-            bitmap |= 1 << i
-        payload = b"".join(shard for _, shard in present)
-        padded = client.call(
-            FunctionId.EC_DECODE, EcDecodeParams(k, m, size, bitmap), payload
-        )
-        return padded[: manifest.raw_len]
+            present |= 1 << i
+            if len(blobs) == k:
+                break  # any k blobs suffice
+        if len(blobs) < k:
+            raise Unrecoverable(f"{name!r}: {len(blobs)} blobs readable, need {k}")
+        if transform["kind"] == TRANSFORM_EC:
+            params = EcDecodeParams(k, transform["m"], manifest.shard_size, present)
+            padded = client.call(FunctionId.EC_DECODE, params, b"".join(blobs))
+            return padded[: manifest.raw_len]
+        if transform["kind"] == TRANSFORM_COMPRESS:
+            params = DecompressParams(transform["codec_id"])
+            return client.call(FunctionId.DECOMPRESS, params, blobs[0])
+        return blobs[0]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,12 +1,17 @@
 """Object store tests: transforms, placement, fault injection, manifests."""
 
 import itertools
+import os
 import random
+import sys
+import threading
+import urllib.parse
+import zlib
 from pathlib import Path
 
 import pytest
 
-from msfm import codec, protocol
+from msfm import bench, codec, protocol
 from msfm.client import Client, ClientConfig
 from msfm.miniobj import (
     NotFound,
@@ -320,3 +325,244 @@ def test_cli_ec_with_kills(tmp_path):
     out = tmp_path / "out.bin"
     assert main(args + ["get", "obj", str(out)]) == 0
     assert out.read_bytes() == source.read_bytes()
+
+
+# --- one placement rule, generations and commit order ---------------------------
+
+STORE_KINDS = ["memory", "disk", "disk-reopened"]
+
+
+@pytest.fixture(params=STORE_KINDS)
+def open_store(request, tmp_path):
+    """A factory for the store each step uses.
+
+    "memory" and "disk" hand out one store; "disk-reopened" opens a fresh
+    store over the same root at every call, as each msfm-obj command does.
+    """
+    root = None if request.param == "memory" else tmp_path / "store"
+    first = ObjectStore(osd_count=6, root=root)
+    if request.param == "disk-reopened":
+        return lambda: ObjectStore(osd_count=6, root=root)
+    return lambda: first
+
+
+def held_blobs(store):
+    """Every (osd, key) the store's OSDs hold, read beneath the store API."""
+    held = set()
+    for osd in store.osds:
+        if osd._dir is None:
+            keys = list(osd._blobs)
+        else:
+            keys = [
+                urllib.parse.unquote(path.name)
+                for path in osd._dir.iterdir()
+                if path.name != ".down"
+            ]
+        held.update((osd.id, key) for key in keys)
+    return held
+
+
+def named_blobs(store, names):
+    return {(p.osd, p.key) for name in names for p in store.manifest(name).placements}
+
+
+def test_blob_i_sits_on_the_crc32_th_live_osd():
+    store = ObjectStore(osd_count=8)
+    store.kill_osd(2)
+    live = [0, 1, 3, 4, 5, 6, 7]
+    for policy in (ObjectPolicy.none(), ObjectPolicy.compress(), ObjectPolicy.ec(2, 1)):
+        for name in ("a", "photo.jpg", "dir/obj-17"):
+            manifest = store.put(name, bytes(100), policy)
+            offset = zlib.crc32(name.encode("utf-8"))
+            assert [p.osd for p in manifest.placements] == [
+                live[(offset + i) % len(live)] for i in range(len(manifest.placements))
+            ]
+            assert [p.key for p in manifest.placements] == [
+                f"{name}/{manifest.generation}/{i}"
+                for i in range(len(manifest.placements))
+            ]
+
+
+def test_placement_error_comes_before_any_transform_call():
+    calls = []
+
+    class CountingClient(Client):
+        def call(self, function_id, params, payload=b"", timeout_ms=None):
+            calls.append(function_id)
+            return super().call(function_id, params, payload, timeout_ms)
+
+    store = ObjectStore(osd_count=5)
+    with CountingClient(ClientConfig(mode="in-process")) as client:
+        with pytest.raises(PlacementError):
+            store.put("x", bytes(100), ObjectPolicy.ec(4, 2, client))
+        for osd_id in range(5):
+            store.kill_osd(osd_id)
+        with pytest.raises(PlacementError):
+            store.put("x", bytes(100), ObjectPolicy.compress(client=client))
+    assert calls == []
+
+
+def test_failed_ec_overwrite_keeps_the_previous_version(open_store, monkeypatch):
+    old = random.Random(101).randbytes(4096)
+    store = open_store()
+    store.put("obj", old, ObjectPolicy.ec(4, 2))
+    write = OsdTarget.write
+    writes = itertools.count(1)
+
+    def third_write_fails(osd, key, data):
+        if next(writes) == 3:
+            raise OSError("disk full")
+        write(osd, key, data)
+
+    monkeypatch.setattr(OsdTarget, "write", third_write_fails)
+    with pytest.raises(OSError):
+        new = random.Random(102).randbytes(4096)
+        open_store().put("obj", new, ObjectPolicy.ec(4, 2))
+    monkeypatch.undo()
+    store = open_store()
+    assert store.get("obj") == old
+    assert held_blobs(store) == named_blobs(store, ["obj"])
+    assert len(held_blobs(store)) == 6
+
+
+def test_failed_manifest_write_keeps_a_compressed_object_readable(
+    tmp_path, monkeypatch
+):
+    # Each put runs on a fresh store, as each msfm-obj command does.  With
+    # keys that a new version reuses, the raw bytes of the second put
+    # would sit under the first put's compress manifest.
+    old = bytes(3000) + b"tail"
+    ObjectStore(osd_count=6, root=tmp_path).put(
+        "obj", old, ObjectPolicy.compress(codec.CODEC_RLE0)
+    )
+
+    def failing_write(path, text, *args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", failing_write)
+    with pytest.raises(OSError):
+        ObjectStore(osd_count=6, root=tmp_path).put(
+            "obj", b"raw second version", ObjectPolicy.none()
+        )
+    monkeypatch.undo()
+    store = ObjectStore(osd_count=6, root=tmp_path)
+    assert store.get("obj") == old
+    assert held_blobs(store) == named_blobs(store, ["obj"])
+
+
+def test_overwrites_leave_only_the_blobs_manifests_name(open_store):
+    rng = random.Random(103)
+    open_store().put("other", rng.randbytes(777), ObjectPolicy.ec(4, 2))
+    for policy in (
+        ObjectPolicy.ec(4, 2),
+        ObjectPolicy.ec(2, 1),
+        ObjectPolicy.compress(codec.CODEC_RLE0),
+        ObjectPolicy.none(),
+        ObjectPolicy.ec(4, 2),
+    ):
+        data = rng.randbytes(5000)
+        open_store().put("x", data, policy)
+        store = open_store()
+        assert store.get("x") == data, policy.transform
+        assert held_blobs(store) == named_blobs(store, ["x", "other"]), policy.transform
+
+
+def test_rle0_rounds_leave_one_blob_per_object(open_store):
+    # The offload-rle0-64k pattern: 16 names, each put once a round from
+    # 32 distinct 64 KiB blocks, over 50 rounds.
+    blocks = [bench.make_block(65536, 0.5, seed) for seed in range(32)]
+    names = [f"obj-{slot}" for slot in range(16)]
+    policy = ObjectPolicy.compress(codec.CODEC_RLE0)
+    for index in range(50):
+        for slot, name in enumerate(names):
+            open_store().put(name, blocks[(index * 16 + slot) % 32], policy)
+        store = open_store()
+        assert held_blobs(store) == named_blobs(store, names), index
+    assert len(held_blobs(store)) == 16
+
+
+def test_concurrent_puts_of_one_name_leave_one_whole_version():
+    store = ObjectStore(osd_count=6)
+    rounds = 200
+    start = threading.Barrier(2)
+    errors = []
+
+    versions = {
+        (thread, i): random.Random(thread * 1000 + i).randbytes(4000)
+        for thread in (1, 2)
+        for i in range(rounds)
+    }
+    known = set(versions.values())
+
+    def writer(thread):
+        try:
+            start.wait()
+            for i in range(rounds):
+                store.put("shared", versions[thread, i], ObjectPolicy.ec(4, 2))
+                # A get that races the other thread's put may find its
+                # blobs deleted, but never returns bytes nobody put.
+                try:
+                    data = store.get("shared")
+                except NotFound:
+                    continue
+                if data not in known:
+                    errors.append(f"thread {thread} round {i}: torn read")
+        except BaseException as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=writer, args=(t,)) for t in (1, 2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    assert store.get("shared") in (versions[1, rounds - 1], versions[2, rounds - 1])
+    assert held_blobs(store) == named_blobs(store, ["shared"])
+    assert len(held_blobs(store)) == 6
+
+
+def test_generation_moves_past_the_stored_manifest(tmp_path):
+    first = ObjectStore(osd_count=6, root=tmp_path)
+    for _ in range(3):
+        first.put("x", b"abc", ObjectPolicy.none())
+    assert first.manifest("x").generation == 3
+    second = ObjectStore(osd_count=6, root=tmp_path)
+    assert second.put("x", b"abcd", ObjectPolicy.none()).generation == 4
+    assert second.put("y", b"y", ObjectPolicy.none()).generation == 5
+    record = first.manifest("x").to_json().replace('  "generation": 3,\n', "")
+    assert "generation" not in record
+    assert ObjectManifest.from_json(record).generation == 0
+
+
+def test_disk_put_fsyncs_each_file_before_its_rename(tmp_path, monkeypatch):
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        fsync(fd)
+
+    def recording_replace(src, dst):
+        parent = Path(dst).parent
+        events.append(("replace", os.stat(src).st_ino, os.stat(parent).st_ino, dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    monkeypatch.setattr(os, "replace", recording_replace)
+    ObjectStore(osd_count=6).put("obj", bytes(5000), ObjectPolicy.ec(4, 2))
+    assert events == []
+
+    disk_store = ObjectStore(osd_count=6, root=tmp_path)
+    disk_store.put("obj", bytes(5000), ObjectPolicy.ec(4, 2))
+    renames = [i for i, event in enumerate(events) if event[0] == "replace"]
+    assert len(renames) == 7  # six shards, then the manifest
+    assert Path(events[renames[-1]][3]).parent.name == "manifests"
+    for i in renames:
+        _, file_inode, dir_inode, _ = events[i]
+        assert events[i - 1] == ("fsync", file_inode)
+        assert events[i + 1] == ("fsync", dir_inode)
