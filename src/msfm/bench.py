@@ -14,9 +14,11 @@ Two transports:
   propagation latency each way) and each side executes transforms on a
   small worker pool with an affine service-time cost.  Identical spec
   and seed produce identical reports, byte for byte.
-* ``tcp`` — a real loopback Server and remote Client driven by
-  `iodepth` submitter threads over one pipelined connection.  Wall
-  clock, so not deterministic; useful for sanity against the model.
+* ``tcp`` — a real loopback Server and remote Client over one
+  pipelined connection.  The calling thread keeps `iodepth` puts
+  pending through `ObjectStore.submit_put`, as fio's iodepth does with
+  an async engine, and starts no thread of its own.  Wall clock, so
+  not deterministic; useful for sanity against the model.
 
 Service-time coefficients are fixed, documented defaults so replays
 are reproducible; `calibrate_service_cost` measures the running
@@ -30,15 +32,14 @@ import argparse
 import contextlib
 import csv
 import heapq
-import itertools
 import json
 import math
 import random
 import re
 import statistics
 import sys
-import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 from . import codec, protocol
@@ -334,14 +335,6 @@ def _op_input(spec: BenchSpec, index: int) -> tuple[str, bytes]:
     return name, _fill_block(rng, spec.block_size, spec.zero_fraction)
 
 
-def _do_put(
-    store: ObjectStore, policy: ObjectPolicy, name: str, block: bytes
-) -> int:
-    """One benchmark operation; returns the bytes stored for it."""
-    manifest = store.put(name, block, policy)
-    return sum(p.length for p in manifest.placements)
-
-
 # The function whose request a put sends, per transform ("none" sends none).
 _PUT_FUNCTION = {
     "compress": protocol.FunctionId.COMPRESS,
@@ -352,6 +345,17 @@ _PUT_FUNCTION = {
 def _params_overhead(spec: BenchSpec) -> int:
     function_id = _PUT_FUNCTION.get(spec.transform)
     return 0 if function_id is None else protocol.PARAMS_LAYOUTS[function_id][1].size
+
+
+def _may_issue(spec: BenchSpec, issued: int, elapsed_s: float) -> bool:
+    """Whether the run's op or time budget admits one more op.
+
+    `elapsed_s` is virtual seconds under the sim transport, wall seconds
+    under tcp.
+    """
+    if spec.ops is not None:
+        return issued < spec.ops
+    return elapsed_s < spec.runtime_s
 
 
 def _percentile(sorted_us: list[float], q: float) -> float:
@@ -457,15 +461,10 @@ def _run_sim(spec: BenchSpec) -> BenchReport:
     def service_s(nbytes: int) -> float:
         return (sim.service_fixed_us + sim.service_us_per_byte * nbytes) / 1e6
 
-    def may_issue(now: float) -> bool:
-        if spec.ops is not None:
-            return issued < spec.ops
-        return now < spec.runtime_s
-
     request_size = protocol.HEADER_SIZE + _params_overhead(spec) + spec.block_size
     heap: list[tuple[float, int]] = []
     issued = 0
-    while issued < spec.iodepth and may_issue(0.0):
+    while issued < spec.iodepth and _may_issue(spec, issued, 0.0):
         heap.append((0.0, issued))
         issued += 1
     heapq.heapify(heap)
@@ -475,7 +474,8 @@ def _run_sim(spec: BenchSpec) -> BenchReport:
     end = 0.0
     while heap:
         issue_time, index = heapq.heappop(heap)
-        stored = _do_put(store, policy, *_op_input(spec, index))
+        manifest = store.put(*_op_input(spec, index), policy)
+        stored = sum(p.length for p in manifest.placements)
         ready = issue_time + overhead_s
         if spec.mode == MODE_COMPRESSOR:
             done = local_pool.run(ready, service_s(spec.block_size))
@@ -486,7 +486,7 @@ def _run_sim(spec: BenchSpec) -> BenchReport:
         latencies.append(done - issue_time)
         completed += 1
         end = max(end, done)
-        if may_issue(done):
+        if _may_issue(spec, issued, done):
             heapq.heappush(heap, (done, issued))
             issued += 1
 
@@ -504,14 +504,18 @@ def _run_sim(spec: BenchSpec) -> BenchReport:
 def _run_tcp(spec: BenchSpec) -> BenchReport:
     """Wall-clock run against a real loopback server.
 
-    `iodepth` submitter threads share one pipelined connection (in
-    instance mode), so in-flight requests equal iodepth.  Compressor
-    mode starts no server.  Failed puts count as errors and contribute
-    no latency sample.
+    The calling thread keeps `iodepth` puts pending, as fio's iodepth
+    does with an async engine: it submits puts until `iodepth` are
+    pending, then finishes the oldest.  In instance mode their calls
+    share one pipelined connection; compressor mode starts no server,
+    and its in-process transform runs during submit.  A latency sample
+    runs from submit to finish, and each operation's name and block are
+    generated before its clock starts.  Failed puts count as errors and
+    contribute no latency sample.
     """
-    counter = itertools.count()
-    latencies: list[list[float]] = [[] for _ in range(spec.iodepth)]
-    errors = [0] * spec.iodepth
+    latencies: list[float] = []
+    errors = 0
+    pending = deque()  # (submit time, finisher) per pending put, oldest first
 
     serving = (
         Server(ServerConfig(), default_registry())
@@ -521,60 +525,44 @@ def _run_tcp(spec: BenchSpec) -> BenchReport:
     with serving as server:
         client = None
         if server is not None:
-            client = Client(
-                ClientConfig(
-                    mode=MODE_REMOTE,
-                    address=server.address,
-                    timeout_ms=60_000.0,
-                    max_queue_depth=max(64, 2 * spec.iodepth),
-                )
-            )
+            config = ClientConfig(MODE_REMOTE, server.address, timeout_ms=60_000.0)
+            client = Client(config)
         try:
             store = _build_store(spec)
             policy = _policy_for(spec, client=client)
-            deadline = (
-                time.perf_counter() + spec.runtime_s
-                if spec.runtime_s is not None
-                else None
-            )
-
-            def submit(slot: int) -> None:
-                while True:
-                    index = next(counter)
-                    if spec.ops is not None and index >= spec.ops:
-                        return
-                    if deadline is not None and time.perf_counter() >= deadline:
-                        return
-                    name, block = _op_input(spec, index)
-                    begin = time.perf_counter()
-                    try:
-                        _do_put(store, policy, name, block)
-                    except (StoreError, ClientError):
-                        errors[slot] += 1
-                    else:
-                        latencies[slot].append(time.perf_counter() - begin)
-
-            threads = [
-                threading.Thread(target=submit, args=(slot,), daemon=True)
-                for slot in range(spec.iodepth)
-            ]
+            index = 0
             begin = time.perf_counter()
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+            while True:
+                more = _may_issue(spec, index, time.perf_counter() - begin)
+                if more and len(pending) < spec.iodepth:
+                    name, block = _op_input(spec, index)
+                    index += 1
+                    begun = time.perf_counter()
+                    try:
+                        pending.append((begun, store.submit_put(name, block, policy)))
+                    except (StoreError, ClientError):
+                        errors += 1
+                elif pending:
+                    begun, finish = pending.popleft()
+                    try:
+                        finish()
+                    except (StoreError, ClientError):
+                        errors += 1
+                    else:
+                        latencies.append(time.perf_counter() - begun)
+                else:
+                    break
             elapsed = time.perf_counter() - begin
         finally:
             if client is not None:
                 client.close()
 
-    merged = [lat for slot in latencies for lat in slot]
     return _finish(
         spec,
-        completed=len(merged),
-        errors=sum(errors),
+        completed=len(latencies),
+        errors=errors,
         elapsed_s=elapsed,
-        latencies_s=merged,
+        latencies_s=latencies,
         raw_bytes=store.stats.raw_bytes,
         stored_bytes=store.stats.stored_bytes,
     )

@@ -2,11 +2,13 @@
 
 The IO application of this package.  `put` optionally compresses the
 object or erasure-codes it into k+m shards before writing to simulated
-OSD targets; `get` reverses the transform.  Every transform runs through
-the client SDK — either an in-process client (the default) or a
-caller-supplied remote client — so the store behaves identically
-regardless of where the function executes, and stored bytes are
-identical either way.
+OSD targets; `get` reverses the transform.  `submit_put` sends the
+transform call and leaves the put pending until its caller finishes
+it, so one thread can keep many puts in flight on one client.  Every
+transform runs through the client SDK — either an in-process client
+(the default) or a caller-supplied remote client — so the store
+behaves identically regardless of where the function executes, and
+stored bytes are identical either way.
 
 One rule places every object.  An object is n blobs: one for `none` and
 `compress`, k+m for EC, and any k of them rebuild it (k = 1 unless EC).
@@ -15,20 +17,24 @@ the (crc32(name) + i)-th live OSD, counting modulo the live set in id
 order.  CRC-32 rather than Python's hash() because the latter is
 randomized per process and placement must be reproducible.
 
-Each put takes a generation that no other put of the store uses and
-that is greater than the one of the manifest it replaces, so it never
-writes over a blob a manifest names.  It writes its blobs, commits by
-replacing the manifest (on disk, then in memory, both under the store
-lock), and only then deletes the blobs of the manifest it replaced.
-Hence:
+Each put takes a generation that no other put of the store uses, so it
+never writes over a blob a manifest names.  The generation is greater
+than the one of the manifest current when the put was planned, so puts
+of one name finished in submit order commit rising generations.  A put
+writes its blobs, commits by replacing the manifest (on disk, then in
+memory, both under the store lock), and only then deletes the blobs of
+the manifest it replaced.  Hence:
 
 - a put that fails before its commit deletes what it wrote, and the
   previous version stays whole;
+- of two pending puts of one name (`submit_put`), the last to finish
+  wins, whatever the order they were submitted in;
 - after any put, each live OSD holds exactly the blobs the current
   manifests name; an OSD that is down during the put keeps its stale
   copies;
-- a get that races a put of the same name may find its blobs deleted,
-  and then raises rather than return other bytes.
+- a get that races a put of the same name may find its blobs deleted;
+  it then reads the version that put committed, and raises rather than
+  return other bytes if a further put deleted those too.
 
 Each object's manifest records everything `get` needs (transform, raw
 length, padding, generation, per-blob placement); there is no other
@@ -381,9 +387,46 @@ class ObjectStore:
             NotFound: A target OSD went down during the put.
             OSError: A disk-backed blob or manifest write failed.
         """
+        request, complete = self._plan_put(name, data, policy)
+        client = policy.client or self._local
+        return complete(client.call(*request) if request else data)
+
+    def submit_put(
+        self, name: str, data: bytes, policy: ObjectPolicy
+    ) -> Callable[[], ObjectManifest]:
+        """Plan a put and submit its transform call; return its finisher.
+
+        The put is pending until the returned function is called: that
+        awaits the transform, then writes, commits and deletes exactly as
+        `put` does, and returns the manifest.  Many puts may be pending on
+        one client at once.  Of two pending puts of one name, the last to
+        finish wins, even if it was submitted first: its manifest becomes
+        current and the other's blobs are deleted.
+
+        Raises:
+            PlacementError: Fewer live OSDs than the object has blobs;
+                raised before the transform call is submitted.
+            ClientError subtypes: The call could not be submitted.  The
+                finisher raises what `put` raises after its transform call.
+        """
+        request, complete = self._plan_put(name, data, policy)
+        if request is None:
+            return lambda: complete(data)
+        instance = (policy.client or self._local).submit(*request)
+        return lambda: complete(instance.await_result())
+
+    def _plan_put(
+        self, name: str, data: bytes, policy: ObjectPolicy
+    ) -> tuple[tuple | None, Callable[[bytes], ObjectManifest]]:
+        """Plan one put: its targets, a fresh generation, its transform.
+
+        Returns the transform request as `Client.call` arguments (None
+        for `none`) and the step that completes the put from the
+        transform's output: slice it into blobs, write them, commit the
+        manifest, delete the replaced blobs and count the put.
+        """
         if not name:
             raise ValueError("object name must be nonempty")
-        client = policy.client or self._local
         k, m = policy.k, policy.m
         count = k + m if policy.transform == TRANSFORM_EC else 1
         live = self.live_osds()
@@ -403,52 +446,55 @@ class ObjectStore:
 
         transform: dict = {"kind": policy.transform}
         shard_size = padding = 0
+        request = None
         if policy.transform == TRANSFORM_EC:
             transform.update(k=k, m=m)
             shard_size = max(1, -(-len(data) // k))
             padded = data.ljust(k * shard_size, b"\x00")
             padding = len(padded) - len(data)
-            shards = client.call(FunctionId.EC_ENCODE, EcEncodeParams(k, m), padded)
-            blobs = [
-                shards[i * shard_size : (i + 1) * shard_size] for i in range(count)
-            ]
+            request = (FunctionId.EC_ENCODE, EcEncodeParams(k, m), padded)
         elif policy.transform == TRANSFORM_COMPRESS:
             transform["codec_id"] = policy.codec_id
-            params = CompressParams(policy.codec_id)
-            blobs = [client.call(FunctionId.COMPRESS, params, data)]
-        else:
-            blobs = [data]
+            request = (FunctionId.COMPRESS, CompressParams(policy.codec_id), data)
 
-        placements = tuple(
-            Placement(target.id, f"{name}/{generation}/{i}", len(blob))
-            for i, (target, blob) in enumerate(zip(targets, blobs))
-        )
-        manifest = ObjectManifest(
-            name, len(data), transform, placements, shard_size, padding, generation
-        )
-        try:
-            for target, placement, blob in zip(targets, placements, blobs):
-                target.write(placement.key, blob)
-            replaced = self._commit(manifest, previous)
-        except BaseException:
-            # No other put uses this generation's keys, so deleting all of
-            # them, written or not, leaves every other version whole.
-            self._discard(placements)
-            raise
-        if replaced is not None:
-            kept = {p.key for p in placements}
-            self._discard(p for p in replaced.placements if p.key not in kept)
-        with self._lock:
-            self.stats.puts += 1
-            self.stats.raw_bytes += len(data)
-            self.stats.stored_bytes += sum(p.length for p in placements)
-        return manifest
+        def complete(output: bytes) -> ObjectManifest:
+            # EC output is k+m shards back to back; other output is one blob.
+            size = shard_size or len(output)
+            blobs = [output[i * size : (i + 1) * size] for i in range(count)]
+            placements = tuple(
+                Placement(target.id, f"{name}/{generation}/{i}", len(blob))
+                for i, (target, blob) in enumerate(zip(targets, blobs))
+            )
+            manifest = ObjectManifest(
+                name, len(data), transform, placements, shard_size, padding, generation
+            )
+            try:
+                for target, placement, blob in zip(targets, placements, blobs):
+                    target.write(placement.key, blob)
+                replaced = self._commit(manifest, previous)
+            except BaseException:
+                # No other put uses this generation's keys, so deleting all
+                # of them, written or not, leaves every other version whole.
+                self._discard(placements)
+                raise
+            if replaced is not None:
+                kept = {p.key for p in placements}
+                self._discard(p for p in replaced.placements if p.key not in kept)
+            with self._lock:
+                self.stats.puts += 1
+                self.stats.raw_bytes += len(data)
+                self.stats.stored_bytes += sum(p.length for p in placements)
+            return manifest
+
+        return request, complete
 
     def get(self, name: str, client: Client | None = None) -> bytes:
         """Read an object back, reversing its transform.
 
         Reads the manifest's blobs in index order until k are in hand
-        (k = 1 unless EC), skipping any whose OSD is down or lost it.
+        (k = 1 unless EC), skipping any whose OSD is down or lost it.  If
+        fewer than k are readable and a put has committed a new manifest
+        since the lookup, reads that manifest's blobs instead, once.
 
         Args:
             name: Object name from a previous put.
@@ -466,18 +512,16 @@ class ObjectStore:
         client = client or self._local
         with self._lock:
             self.stats.gets += 1
+        blobs, present = self._read_blobs(manifest)
+        if len(blobs) < manifest.transform.get("k", 1):
+            # A put that committed since the lookup deletes the blobs it
+            # replaced; the version it wrote is the one to read.
+            latest = self.manifest(name)
+            if latest.generation != manifest.generation:
+                manifest = latest
+                blobs, present = self._read_blobs(manifest)
         transform = manifest.transform
         k = transform.get("k", 1)
-        blobs: list[bytes] = []
-        present = 0
-        for i, placement in enumerate(manifest.placements):
-            try:
-                blobs.append(self._osd(placement.osd).read(placement.key))
-            except NotFound:
-                continue
-            present |= 1 << i
-            if len(blobs) == k:
-                break  # any k blobs suffice
         if len(blobs) < k:
             raise Unrecoverable(f"{name!r}: {len(blobs)} blobs readable, need {k}")
         if transform["kind"] == TRANSFORM_EC:
@@ -488,6 +532,21 @@ class ObjectStore:
             params = DecompressParams(transform["codec_id"])
             return client.call(FunctionId.DECOMPRESS, params, blobs[0])
         return blobs[0]
+
+    def _read_blobs(self, manifest: ObjectManifest) -> tuple[list[bytes], int]:
+        """The first k readable blobs of `manifest`, and a bitmap of their indices."""
+        k = manifest.transform.get("k", 1)
+        blobs: list[bytes] = []
+        present = 0
+        for i, placement in enumerate(manifest.placements):
+            try:
+                blobs.append(self._osd(placement.osd).read(placement.key))
+            except NotFound:
+                continue
+            present |= 1 << i
+            if len(blobs) == k:
+                break  # any k blobs suffice
+        return blobs, present
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -8,6 +8,7 @@ asserted against fixed targets — only shapes and relationships.
 
 import json
 import math
+import threading
 import time
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from msfm.bench import (
     run,
     sweep,
 )
+from msfm.miniobj import ObjectStore
 
 
 def sim_spec(**overrides) -> BenchSpec:
@@ -359,6 +361,46 @@ def test_tcp_latency_excludes_block_generation(monkeypatch):
     report = bench._run_tcp(BenchSpec(block_size=4096, ops=5, transport="tcp", seed=3))
     assert report.completed == 5
     assert report.lat_p50_us < 20_000
+
+
+@pytest.mark.parametrize("mode", ["instance", "compressor"])
+@pytest.mark.parametrize(
+    "budget", [{"ops": 300}, {"runtime_s": 0.3}], ids=["ops", "runtime"]
+)
+def test_tcp_keeps_iodepth_puts_pending_from_the_calling_thread(
+    monkeypatch, mode, budget
+):
+    threads = set()
+    pending = most = 0
+    submit_put = ObjectStore.submit_put
+
+    def counting_submit_put(store, name, data, policy):
+        nonlocal pending, most
+        threads.add(threading.get_ident())
+        finish = submit_put(store, name, data, policy)
+        pending += 1
+        most = max(most, pending)
+
+        def counting_finish():
+            nonlocal pending
+            threads.add(threading.get_ident())
+            try:
+                return finish()
+            finally:
+                pending -= 1
+
+        return counting_finish
+
+    monkeypatch.setattr(ObjectStore, "submit_put", counting_submit_put)
+    spec = BenchSpec(
+        block_size=4096, iodepth=16, mode=mode, transport="tcp", seed=5, **budget
+    )
+    report = bench._run_tcp(spec)
+    assert threads == {threading.get_ident()}
+    assert most == 16
+    assert pending == 0
+    assert report.errors == 0
+    assert report.completed == budget.get("ops", report.completed) > 16
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,18 @@ import itertools
 import os
 import random
 import sys
+import tempfile
 import threading
 import urllib.parse
 import zlib
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from msfm import bench, codec, protocol
+from msfm import bench, codec, miniobj, protocol
 from msfm.client import Client, ClientConfig
 from msfm.miniobj import (
     NotFound,
@@ -566,3 +570,109 @@ def test_disk_put_fsyncs_each_file_before_its_rename(tmp_path, monkeypatch):
         _, file_inode, dir_inode, _ = events[i]
         assert events[i - 1] == ("fsync", file_inode)
         assert events[i + 1] == ("fsync", dir_inode)
+
+
+# --- pending puts, racing gets and failed steps ---------------------------------
+
+
+@pytest.mark.parametrize("disk", [False, True], ids=["memory", "disk"])
+def test_the_last_put_to_finish_wins(tmp_path, disk):
+    store = ObjectStore(osd_count=6, root=tmp_path if disk else None)
+    store.put("x", b"first version", ObjectPolicy.ec(4, 2))
+    a = random.Random(106).randbytes(5000)
+    b = random.Random(107).randbytes(5000)
+    finish_a = store.submit_put("x", a, ObjectPolicy.ec(4, 2))
+    finish_b = store.submit_put("x", b, ObjectPolicy.ec(4, 2))
+    manifest_b = finish_b()
+    manifest_a = finish_a()
+    assert manifest_a.generation < manifest_b.generation
+    stores = [store, ObjectStore(osd_count=6, root=tmp_path)] if disk else [store]
+    for view in stores:
+        assert view.manifest("x") == manifest_a
+        assert view.get("x") == a
+        assert held_blobs(view) == {(p.osd, p.key) for p in manifest_a.placements}
+
+
+def test_get_reads_the_version_a_racing_put_committed(monkeypatch):
+    store = ObjectStore(osd_count=6)
+    store.put("x", random.Random(108).randbytes(4096), ObjectPolicy.ec(4, 2))
+    new = random.Random(109).randbytes(4096)
+    read = OsdTarget.read
+    raced = []
+
+    def read_then_put(osd, key):
+        blob = read(osd, key)
+        if not raced:
+            raced.append(key)
+            store.put("x", new, ObjectPolicy.ec(4, 2))
+        return blob
+
+    monkeypatch.setattr(OsdTarget, "read", read_then_put)
+    assert store.get("x") == new
+    assert raced == [f"x/{store.manifest('x').generation - 1}/0"]
+
+
+FAILED_PUT_POLICIES = [
+    ObjectPolicy.none(),
+    ObjectPolicy.compress(codec.CODEC_RLE0),
+    ObjectPolicy.ec(4, 2),
+    ObjectPolicy.ec(2, 1),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    disk=st.booleans(),
+    old_policy=st.sampled_from(FAILED_PUT_POLICIES),
+    new_policy=st.sampled_from(FAILED_PUT_POLICIES),
+    submitted=st.booleans(),
+    step=st.integers(0, 7),
+    after_write=st.booleans(),
+    error=st.sampled_from([OSError, NotFound]),
+)
+def test_a_failed_put_leaves_exactly_the_old_or_the_new_version(
+    disk, old_policy, new_policy, submitted, step, after_write, error
+):
+    # Steps of the new put, counted from 0: each OsdTarget.write, then
+    # (on disk) the manifest replace.  Step `step` raises `error`; a
+    # blob write may raise after its blob landed.  A step past the last
+    # leaves the put whole.
+    rng = random.Random(step)
+    old, new, other = rng.randbytes(3000), bytes(2000) + rng.randbytes(999), b"o" * 70
+    count = new_policy.k + new_policy.m if new_policy.transform == "ec" else 1
+    steps = itertools.count()
+    write, replace_file = OsdTarget.write, miniobj._replace_file
+
+    def failing_write(osd, key, data):
+        if next(steps) != step:
+            return write(osd, key, data)
+        if after_write:
+            write(osd, key, data)
+        raise error("injected blob write failure")
+
+    def failing_replace_file(path, fill):
+        if path.parent.name == "manifests" and next(steps) == step:
+            raise error("injected manifest replace failure")
+        replace_file(path, fill)
+
+    with tempfile.TemporaryDirectory() as root:
+        store = ObjectStore(osd_count=6, root=root if disk else None)
+        store.put("other", other, ObjectPolicy.ec(2, 1))
+        store.put("x", old, old_policy)
+        with mock.patch.object(OsdTarget, "write", failing_write), mock.patch.object(
+            miniobj, "_replace_file", failing_replace_file
+        ):
+            try:
+                if submitted:
+                    store.submit_put("x", new, new_policy)()
+                else:
+                    store.put("x", new, new_policy)
+                failed = False
+            except (OSError, NotFound):
+                failed = True
+        assert failed == (step < count + disk)
+        views = [store, ObjectStore(osd_count=6, root=root)] if disk else [store]
+        for view in views:
+            assert view.get("x") == (old if failed else new)
+            assert view.get("other") == other
+            assert held_blobs(view) == named_blobs(view, ["x", "other"])
