@@ -445,7 +445,8 @@ def _run_sim(spec: BenchSpec) -> BenchReport:
     (time, sequence); each completion issues the next op, so exactly
     `iodepth` are in flight until the op budget or time budget runs
     out.  The store put happens for real when the op is issued — the
-    model only decides when it would have finished.
+    model only decides when it would have finished.  A `none` put makes
+    no call, so it costs only the client overhead in either mode.
     """
     sim = spec.sim
     latency_s = sim.latency_us / 1e6
@@ -477,7 +478,9 @@ def _run_sim(spec: BenchSpec) -> BenchReport:
         manifest = store.put(*_op_input(spec, index), policy)
         stored = sum(p.length for p in manifest.placements)
         ready = issue_time + overhead_s
-        if spec.mode == MODE_COMPRESSOR:
+        if spec.transform == "none":
+            done = ready  # the store makes no call
+        elif spec.mode == MODE_COMPRESSOR:
             done = local_pool.run(ready, service_s(spec.block_size))
         else:
             arrived = egress.deliver(ready, request_size)

@@ -14,15 +14,18 @@ holding `max_queue_depth` requests, or the queue holding 64 KiB.  So a
 batch of pipelined calls costs one send, and a caller never reads
 before its own request is on the wire.  Responses are read by the
 callers themselves, in the leader/followers pattern: of the threads
-awaiting an Instance, one at a time holds the read lock and reads the
+awaiting an Instance, one at a time has the turn to read the
 connection, pairing each response to its Instance by correlation id
 regardless of arrival order; the others sleep on one condition until a
 response of theirs arrives or the reader leaves and one of them takes
-over.  The reader decodes every frame of a chunk in one pass and
-finishes their Instances under one lock acquisition, with one wake-up.  A remote Client therefore starts no thread.  The server stops
-reading requests while its answers go unread, so a sender whose write
-stalls reads them too: one thread may pipeline any number of calls
-before it awaits any.
+the turn.  The reader decodes every frame of a chunk in one pass and
+finishes their Instances under one lock acquisition, with one wake-up.
+A remote Client therefore starts no thread.  That condition's lock
+guards all of the client's shared state; only the send lock is
+separate, so that a reader can deliver responses while a send blocks.
+The server stops reading requests while its answers go unread, so a
+sender whose write stalls reads them too: one thread may pipeline any
+number of calls before it awaits any.
 
 Two execution modes share one API.  Remote mode sends frames through a
 Transport (TCP, or a test double).  In-process mode — the monolithic
@@ -292,10 +295,10 @@ class Instance:
         """Move to a terminal state; the result is stored before the state.
 
         await_result reads the state without a lock.  The caller holds
-        `_pending_lock` and has just taken this Instance out of
-        `_pending` (in-process: submit has not returned it yet).
-        Whoever finishes another thread's Instance must then notify the
-        client's `_turn` condition, which its waiter sleeps on.
+        the client's `_turn` condition and has just taken this Instance
+        out of `_pending` (in-process: submit has not returned it yet).
+        Whoever finishes another thread's Instance must notify `_turn`,
+        which its waiter sleeps on, before releasing it.
         """
         self._payload = payload
         self._error = error
@@ -338,8 +341,8 @@ class Client:
     request on the caller's own thread, the queue goes out in one send
     on the thread that awaits or fills it, and the callers awaiting
     Instances take turns reading responses (see the module docstring).
-    A reader takes `_pending_lock` once per chunk it reads, not once
-    per response, and wakes the waiters once.
+    A reader takes `_turn`'s lock once per chunk it reads, not once per
+    response, and wakes the waiters at most once.
     In-process mode executes during submit.  Thread-safe: submit/call
     may run from many threads at once.
     """
@@ -354,21 +357,21 @@ class Client:
         self.config = config
         self._clock = clock or Clock()
         self._ids = itertools.count(1)
-        self._closed = threading.Event()
-        # Under _pending_lock: the calls awaiting a response, the
-        # encoded requests not yet handed to a send, their total size,
-        # and the requests queued or being written (<= max_queue_depth).
+        # Under _turn: whether the client is closed, the calls awaiting
+        # a response, the encoded requests not yet handed to a send,
+        # their total size, the requests queued or being written
+        # (<= max_queue_depth), and whether a thread is reading the
+        # connection.  Awaiting threads that do not read sleep on _turn
+        # until a response of theirs arrives or the reader leaves.
+        self._closed = False
         self._pending: dict[int, Instance] = {}
         self._outbox: list[bytes] = []
         self._outbox_bytes = 0
         self._unwritten = 0
-        self._pending_lock = threading.Lock()
-        self._send_lock = threading.Lock()
-        # Held by the one awaiting thread that reads the connection.
-        self._read_lock = threading.Lock()
-        # Awaiting threads that do not read sleep here until a response
-        # of theirs arrives or the read lock is handed over.
+        self._reading = False
         self._turn = threading.Condition(threading.Lock())
+        # Taken before _turn, which is never held across a send or recv.
+        self._send_lock = threading.Lock()
         self._decoder = FrameDecoder()
         self._transport: Transport | None = None
 
@@ -415,7 +418,7 @@ class Client:
                 example a function id beyond u16), in either mode;
                 nothing was sent or run.
         """
-        if self._closed.is_set():
+        if self._closed:
             raise ClientClosed("client is closed")
         if self.config.mode == MODE_IN_PROCESS:
             frame = protocol.request(function_id, self._next_id(), params, payload)
@@ -447,9 +450,10 @@ class Client:
         Safe from any thread: closing the transport wakes a caller that
         is blocked reading it.
         """
-        if self._closed.is_set():
-            return
-        self._closed.set()
+        with self._turn:
+            if self._closed:
+                return
+            self._closed = True
         if self.config.mode == MODE_REMOTE:
             self._fail_all(ClientClosed("client closed"))
             assert self._transport is not None
@@ -470,7 +474,8 @@ class Client:
         header field, and 0 is the id the server answers an
         undecodable frame with.  After a wrap, an id whose call is
         still pending is skipped, so no response can pair with the
-        wrong call.
+        wrong call.  `_pending` is read without the lock: an id enters
+        it only through the submit that picked it.
         """
         while True:
             correlation_id = (next(self._ids) - 1) % _U32_MAX + 1
@@ -479,10 +484,10 @@ class Client:
 
     def _enqueue(self, instance: Instance, data: bytes) -> None:
         """Queue an encoded request; write the queue if it is full."""
-        with self._pending_lock:
+        with self._turn:
             # Checked under the lock that _fail_all takes, so a request
             # queued after close() cannot be left unfailed.
-            if self._closed.is_set():
+            if self._closed:
                 raise ClientClosed("client is closed")
             depth = self.config.max_queue_depth
             if self._unwritten >= depth:
@@ -508,7 +513,7 @@ class Client:
         """
         assert self._transport is not None
         with self._send_lock:
-            with self._pending_lock:
+            with self._turn:
                 batch = self._outbox
                 if not batch:
                     return
@@ -517,9 +522,9 @@ class Client:
             try:
                 self._transport.send(b"".join(batch), self._read_for_stalled_send)
             except OSError as exc:
-                self._transport_failed(f"send failed: {exc}")
+                self._fail_all(TransportError(f"send failed: {exc}"))
             finally:
-                with self._pending_lock:
+                with self._turn:
                     self._unwritten -= len(batch)
 
     def _read_for_stalled_send(self) -> None:
@@ -528,15 +533,18 @@ class Client:
         The sender holds the send lock, and a reader writes the queue
         before it reads, so any call a reader awaits was sent before
         this batch and is answered first: that reader leaves, and the
-        sender waits for the read lock.
+        sender waits on `_turn` for its turn.
         """
-        if self._closed.is_set():
+        if self._closed:
             raise OSError("client closed")
-        self._read_lock.acquire()
+        with self._turn:
+            while self._reading:
+                self._turn.wait()
+            self._reading = True
         try:
             self._read_once(0.0)
         finally:
-            self._hand_over()
+            self._leave()
 
     def _await(self, instance: Instance, deadline: float) -> None:
         """Return once `instance` is terminal or `deadline` has passed.
@@ -545,50 +553,50 @@ class Client:
         written, so the request awaited (and every other request queued
         so far) is on the wire before this thread reads or waits: a
         stalled sender can then rely on every reader leaving once it is
-        answered.  The calling thread reads the connection itself if no
-        other thread does; otherwise it sleeps on `_turn` until a reader
-        delivers a response or leaves.  A leaving reader releases the
-        read lock and notifies while it holds `_turn`'s lock, and a
-        thread sleeps there only after it saw, under that same lock, the
-        read lock held and its instance still sent; so no thread misses
-        its response or the hand-over.
+        answered.  The calling thread takes the turn and reads the
+        connection itself if no other thread is reading; otherwise it
+        sleeps on `_turn` until a reader delivers a response or leaves.
+        A reader delivers and leaves while it holds `_turn`'s lock, and
+        a thread sleeps there only after it saw, under that same lock,
+        another thread reading and its instance still sent; so no thread
+        misses its response or the turn.  A thread woken past its
+        deadline while no one reads takes the turn and leaves at once:
+        the wake-up may have been the turn, which then passes on to a
+        thread still waiting.
         """
         if self._unwritten:
             self._flush()
         while instance._state is _SENT:
             remaining = deadline - self._clock.now()
-            if remaining <= 0:
-                if not self._read_lock.locked():
-                    # A hand-over may have woken this thread as it timed
-                    # out; pass it on to a thread still waiting.
-                    with self._turn:
-                        self._turn.notify()
-                return
-            if self._read_lock.acquire(blocking=False):
-                try:
-                    while instance._state is _SENT:
-                        remaining = deadline - self._clock.now()
-                        own = instance.correlation_id
-                        if remaining <= 0 or not self._read_once(remaining, own):
-                            break
-                finally:
-                    self._hand_over()
-                return
             with self._turn:
-                if instance._state is _SENT and self._read_lock.locked():
-                    self._turn.wait(remaining)
+                if self._reading:
+                    if remaining <= 0:
+                        return
+                    if instance._state is _SENT:
+                        self._turn.wait(remaining)
+                    continue
+                self._reading = True
+            try:
+                own = instance.correlation_id
+                while instance._state is _SENT:
+                    remaining = deadline - self._clock.now()
+                    if remaining <= 0 or not self._read_once(remaining, own):
+                        break
+            finally:
+                self._leave()
+            return
 
-    def _hand_over(self) -> None:
-        """Release the read lock and wake one waiter to take it."""
+    def _leave(self) -> None:
+        """Give up the turn to read and wake one waiter to take it."""
         with self._turn:
-            self._read_lock.release()
+            self._reading = False
             self._turn.notify()
 
     def _read_once(self, timeout: float, own: int = 0) -> bool:
         """Read one chunk and deliver every response it completes.
 
-        The caller holds the read lock.  The waiters are woken, once, if
-        the chunk completed a call other than `own`, the reader's own
+        The caller has the turn.  The waiters are woken, once, if the
+        chunk completed a call other than `own`, the reader's own
         correlation id (0 matches no call).  Returns False if nothing
         came within `timeout` or the connection is gone.
         """
@@ -597,31 +605,27 @@ class Client:
         if data is None:
             return False
         if not data:
-            if not self._closed.is_set():
-                self._transport_failed("connection closed by server")
+            if not self._closed:
+                self._fail_all(TransportError("connection closed by server"))
             return False
-        others = False
         try:
             self._decoder.feed(data)
             # A bad frame is raised by the call after the one that
             # returns the frames before it.
             while frames := self._decoder.frames():
-                others |= self._complete(frames, own)
+                self._complete(frames, own)
         except protocol.ProtocolError as exc:
-            self._transport_failed(f"undecodable response stream: {exc}")
-        if others:
-            with self._turn:
-                self._turn.notify_all()
+            self._fail_all(TransportError(f"undecodable response stream: {exc}"))
         return True
 
-    def _complete(self, frames: list[Frame], own: int) -> bool:
+    def _complete(self, frames: list[Frame], own: int) -> None:
         """Finish the Instance of each response, under one lock acquisition.
 
-        Returns whether a call other than `own` was completed.
+        Wakes the waiters if a call other than `own` was completed.
         """
         others = False
         pending = self._pending
-        with self._pending_lock:
+        with self._turn:
             for frame in frames:
                 correlation_id = frame.correlation_id
                 instance = pending.pop(correlation_id, None)
@@ -629,7 +633,8 @@ class Client:
                 if instance is not None:
                     self._deliver(instance, frame)
                     others |= correlation_id != own
-        return others
+            if others:
+                self._turn.notify_all()
 
     def _deliver(self, instance: Instance, frame: Frame) -> None:
         if frame.status == _OK:
@@ -638,25 +643,24 @@ class Client:
             detail = frame.params.decode("utf-8", errors="replace")
             instance._finish(_FAILED, error=error_for_status(frame.status, detail))
 
-    def _transport_failed(self, detail: str) -> None:
-        self._closed.set()
-        self._fail_all(TransportError(detail))
-
     def _fail_all(self, error: ClientError) -> None:
-        """Fail every pending call; the queued requests are never sent."""
-        with self._pending_lock:
+        """Close the client and fail every pending call.
+
+        The queued requests are never sent.
+        """
+        with self._turn:
+            self._closed = True
             for instance in self._pending.values():
                 instance._finish(_FAILED, error=error)
             self._pending.clear()
             self._unwritten -= len(self._outbox)
             self._outbox = []
             self._outbox_bytes = 0
-        with self._turn:
             self._turn.notify_all()
 
     def _expire(self, instance: Instance, error: ClientError) -> None:
         """Time out `instance` unless a response or failure ended it first."""
-        with self._pending_lock:
+        with self._turn:
             # Still sent means still pending: both change under this lock.
             if instance._state is _SENT:
                 del self._pending[instance.correlation_id]

@@ -22,16 +22,19 @@ never writes over a blob a manifest names.  The generation is greater
 than the one of the manifest current when the put was planned, so puts
 of one name finished in submit order commit rising generations.  A put
 writes its blobs, commits by replacing the manifest (on disk, then in
-memory, both under the store lock), and only then deletes the blobs of
-the manifest it replaced.  Hence:
+memory, both under the store lock), makes the disk rename durable, and
+only then deletes the blobs of the manifest it replaced.  Hence:
 
 - a put that fails before its commit deletes what it wrote, and the
   previous version stays whole;
+- a put whose manifest rename is done but not yet durable, because the
+  fsync of the manifest directory failed, is committed and raises; it
+  keeps the replaced version's blobs, which a crash may bring back;
 - of two pending puts of one name (`submit_put`), the last to finish
   wins, whatever the order they were submitted in;
-- after any put, each live OSD holds exactly the blobs the current
-  manifests name; an OSD that is down during the put keeps its stale
-  copies;
+- after any put that returns, each live OSD holds exactly the blobs
+  the current manifests name; an OSD that is down during the put keeps
+  its stale copies;
 - a get that races a put of the same name may find its blobs deleted;
   it then reads the version that put committed, and raises rather than
   return other bytes if a further put deleted those too.
@@ -196,11 +199,10 @@ def _fsync(path: Path) -> None:
 
 
 def _replace_file(path: Path, write: Callable[[Path], object]) -> None:
-    """Have `write` fill a temporary file, then move it over `path`.
+    """Have `write` fill a temporary file, fsync it, then move it over `path`.
 
-    The file is fsynced before the rename and its directory after it, so
-    once this returns the new contents survive a crash.  If a step before
-    the rename fails, the temporary file is removed and `path` keeps its
+    The rename survives a crash once the caller has fsynced `path.parent`.
+    If a step fails, the temporary file is removed and `path` keeps its
     previous contents.  The temporary name carries the thread id, so two
     threads writing the same path never share one.
     """
@@ -212,7 +214,6 @@ def _replace_file(path: Path, write: Callable[[Path], object]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    _fsync(path.parent)
 
 
 class OsdTarget:
@@ -253,6 +254,7 @@ class OsdTarget:
         with self._lock:
             if self._dir is not None:
                 _replace_file(self._path(key), lambda tmp: tmp.write_bytes(data))
+                _fsync(self._dir)
             else:
                 self._blobs[key] = data
 
@@ -347,7 +349,8 @@ class ObjectStore:
         Returns the manifest it replaced: the one in memory, or else
         `previous`, which the put looked up before it wrote (a store that
         has not loaded a name finds it only on disk).  A failed disk write
-        leaves the old manifest current in both.
+        leaves the old manifest current in both.  The rename is durable
+        once the caller has fsynced the manifest directory.
         """
         with self._lock:
             if self._root is not None:
@@ -378,7 +381,9 @@ class ObjectStore:
         `name/g/i`, commits the new manifest, and deletes the blobs of
         the manifest it replaced, except on OSDs that are down.  If any
         step before the commit fails, the put deletes the blobs it wrote
-        and raises, and the previous version stays readable.
+        and raises, and the previous version stays readable.  If the
+        fsync that makes a disk commit durable fails, the put raises
+        after its commit and keeps the replaced blobs too.
 
         Raises:
             PlacementError: Fewer live OSDs than the object has blobs;
@@ -477,6 +482,10 @@ class ObjectStore:
                 # of them, written or not, leaves every other version whole.
                 self._discard(placements)
                 raise
+            if self._root is not None:
+                # Committed, but a crash may bring back the replaced
+                # manifest until this succeeds: if it fails, its blobs stay.
+                _fsync(self._root / "manifests")
             if replaced is not None:
                 kept = {p.key for p in placements}
                 self._discard(p for p in replaced.placements if p.key not in kept)

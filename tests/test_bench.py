@@ -199,6 +199,19 @@ def test_stored_bytes_identical_across_modes():
     assert inst.elapsed_s != comp.elapsed_s
 
 
+@pytest.mark.parametrize("iodepth", [1, 8])
+def test_a_none_put_costs_only_the_client_overhead(iodepth):
+    # A none put makes no call: nothing crosses a link or waits for a pool.
+    inst, comp = (
+        run(sim_spec(transform="none", mode=mode, iodepth=iodepth, ops=120))
+        for mode in ("instance", "compressor")
+    )
+    assert {**vars(inst), "spec": None} == {**vars(comp), "spec": None}
+    overhead = inst.spec.sim.client_overhead_us
+    for latency in (inst.lat_min_us, inst.lat_max_us, comp.lat_min_us, comp.lat_max_us):
+        assert latency == pytest.approx(overhead)
+
+
 def test_runtime_budget_stops_issue_but_drains():
     report = run(sim_spec(ops=None, runtime_s=0.05, iodepth=4))
     assert report.completed > 0

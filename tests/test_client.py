@@ -572,6 +572,61 @@ def test_reader_wakes_waiting_callers_and_hands_over_when_it_leaves():
     client.close()
 
 
+def test_a_waiter_woken_past_its_deadline_passes_the_turn_on():
+    gates = {cid: threading.Event() for cid in (1, 2, 3)}
+    transport = HeldTransport(gates)
+    clock = SteppingClock()
+    client = loopback_client(transport=transport, clock=clock)
+    client._turn = turn = WaitSignallingCondition()
+    results = {}
+
+    def call(data, timeout_ms):
+        try:
+            params = CompressParams(1)
+            block = client.call(FunctionId.COMPRESS, params, data, timeout_ms)
+            result = codec.decompress(block)
+        except Exception as exc:  # noqa: BLE001 — checked below
+            result = exc
+        results[threading.current_thread().name] = (result, time.monotonic())
+
+    def start(name, data, timeout_ms):
+        thread = threading.Thread(target=call, args=(data, timeout_ms), name=name)
+        thread.start()
+        return thread
+
+    try:
+        reader = start("reader", b"one", 5000)  # correlation id 1
+        for _ in range(500):
+            if "reader" in transport.readers:
+                break
+            time.sleep(0.01)
+        early = start("early", b"two", 1000)  # correlation id 2
+        assert turn.entered.wait(5)
+        turn.entered.clear()
+        late = start("late", b"three", 5000)  # correlation id 3
+        assert turn.entered.wait(5)
+        # The reader's leave wakes the first waiter, "early", which is
+        # past its deadline by now; it must pass the turn on to "late".
+        clock.t += 2.0
+        gates[1].set()
+        reader.join(5)
+        early.join(5)
+        assert not reader.is_alive() and not early.is_alive()
+        assert results["reader"][0] == b"one"
+        assert isinstance(results["early"][0], TimedOut)
+        released = time.monotonic()
+        gates[3].set()
+        late.join(10)
+        assert not late.is_alive()
+        result, finished = results["late"]
+        assert result == b"three"
+        assert finished - released < 1.0  # not when its own wait runs out
+    finally:
+        for gate in gates.values():
+            gate.set()
+        client.close()
+
+
 def test_close_wakes_a_caller_blocked_reading():
     release = threading.Event()
 

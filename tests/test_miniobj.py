@@ -572,6 +572,32 @@ def test_disk_put_fsyncs_each_file_before_its_rename(tmp_path, monkeypatch):
         assert events[i + 1] == ("fsync", dir_inode)
 
 
+def test_a_put_whose_manifest_rename_is_not_synced_is_committed(tmp_path, monkeypatch):
+    # The manifest's rename succeeds but the fsync of its directory fails:
+    # the put raises, yet a crash may keep either manifest, so the new one
+    # is current and the blobs of both stay.
+    store = ObjectStore(osd_count=6, root=tmp_path)
+    old = store.put("x", random.Random(110).randbytes(5000), ObjectPolicy.ec(4, 2))
+    new = random.Random(111).randbytes(5000)
+    fsync = miniobj._fsync
+
+    def failing_fsync(path):
+        if path.name == "manifests":
+            raise OSError("injected directory fsync failure")
+        fsync(path)
+
+    monkeypatch.setattr(miniobj, "_fsync", failing_fsync)
+    with pytest.raises(OSError, match="injected"):
+        store.put("x", new, ObjectPolicy.ec(4, 2))
+    monkeypatch.undo()
+    reopened = ObjectStore(osd_count=6, root=tmp_path)
+    for view in (store, reopened):
+        assert view.get("x") == new
+        assert view.manifest("x").generation > old.generation
+        named = {(p.osd, p.key) for p in old.placements + view.manifest("x").placements}
+        assert named <= held_blobs(view)
+
+
 # --- pending puts, racing gets and failed steps ---------------------------------
 
 
