@@ -7,23 +7,25 @@ mode, where the same code runs in-process.  Every operation performs a
 real put against a real ObjectStore, so stored bytes are identical
 across modes and only the timing model differs.
 
-Two transports:
+Both transports run one closed loop, `_drive`: the calling thread
+keeps `iodepth` puts pending through `ObjectStore.submit_put`, as fio's
+iodepth does with an async engine, finishes the oldest, and starts no
+thread of its own.  The two differ only in the clock that loop reads:
 
-* ``sim`` — a deterministic virtual-time model.  The network is a pair
-  of FIFO links (serialization at a configured bandwidth, then a fixed
-  propagation latency each way) and each side executes transforms on a
-  small worker pool with an affine service-time cost.  Identical spec
-  and seed produce identical reports, byte for byte.
-* ``tcp`` — a real loopback Server and remote Client over one
-  pipelined connection.  The calling thread keeps `iodepth` puts
-  pending through `ObjectStore.submit_put`, as fio's iodepth does with
-  an async engine, and starts no thread of its own.  Wall clock, so
-  not deterministic; useful for sanity against the model.
+* ``sim`` — a deterministic virtual clock.  The network is a pair of
+  FIFO links (serialization at a configured bandwidth, then a fixed
+  propagation latency each way) and the side that runs the transform
+  does so on a small worker pool with an affine service-time cost;
+  each put is priced on them when it finishes.  Identical spec and
+  seed produce identical reports, byte for byte.
+* ``tcp`` — the wall clock, over a real loopback Server and remote
+  Client on one pipelined connection.  Not deterministic; useful for
+  sanity against the model.
 
 Service-time coefficients are fixed, documented defaults so replays
 are reproducible; `calibrate_service_cost` measures the running
-machine instead for anyone who wants model numbers grounded in local
-codec speed (at the cost of determinism).
+machine's compress time instead, for sim compress runs that want model
+numbers grounded in local codec speed (at the cost of determinism).
 """
 
 from __future__ import annotations
@@ -41,11 +43,12 @@ import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from . import codec, protocol
 from .client import Client, ClientConfig, ClientError, MODE_REMOTE
 from .gfec import code_fits
-from .miniobj import ObjectPolicy, ObjectStore, StoreError
+from .miniobj import ObjectManifest, ObjectPolicy, ObjectStore, StoreError, StoreStats
 from .server import Server, ServerConfig, default_registry
 
 WORKLOAD_RANDWRITE = "randwrite"
@@ -347,17 +350,6 @@ def _params_overhead(spec: BenchSpec) -> int:
     return 0 if function_id is None else protocol.PARAMS_LAYOUTS[function_id][1].size
 
 
-def _may_issue(spec: BenchSpec, issued: int, elapsed_s: float) -> bool:
-    """Whether the run's op or time budget admits one more op.
-
-    `elapsed_s` is virtual seconds under the sim transport, wall seconds
-    under tcp.
-    """
-    if spec.ops is not None:
-        return issued < spec.ops
-    return elapsed_s < spec.runtime_s
-
-
 def _percentile(sorted_us: list[float], q: float) -> float:
     """Nearest-rank percentile of an ascending list (exact, no interpolation)."""
     rank = math.ceil(q * len(sorted_us))
@@ -366,13 +358,12 @@ def _percentile(sorted_us: list[float], q: float) -> float:
 
 def _finish(
     spec: BenchSpec,
-    completed: int,
     errors: int,
     elapsed_s: float,
     latencies_s: list[float],
-    raw_bytes: int,
-    stored_bytes: int,
+    stats: StoreStats,
 ) -> BenchReport:
+    completed = len(latencies_s)
     iops = completed / elapsed_s if elapsed_s > 0 else 0.0
     bandwidth = iops * spec.block_size / 1e6
     if latencies_s:
@@ -400,8 +391,8 @@ def _finish(
         lat_p95_us=lat["p95"],
         lat_p99_us=lat["p99"],
         lat_max_us=lat["max"],
-        raw_bytes=raw_bytes,
-        stored_bytes=stored_bytes,
+        raw_bytes=stats.raw_bytes,
+        stored_bytes=stats.stored_bytes,
     )
 
 
@@ -438,15 +429,63 @@ class _WorkerPool:
         return done
 
 
+def _drive(
+    spec: BenchSpec,
+    store: ObjectStore,
+    policy: ObjectPolicy,
+    now: Callable[[], float],
+    finished_at: Callable[[float, ObjectManifest], float],
+) -> BenchReport:
+    """The closed loop both transports run, on the clock `now`.
+
+    Submits puts through `ObjectStore.submit_put` until `iodepth` are
+    pending or the op or time budget is spent, then finishes the oldest,
+    as fio's iodepth does with an async engine.  A put's latency runs
+    from its submit to `finished_at(submit time, manifest)`, and each
+    operation's name and block are generated before its clock starts.
+    Failed puts count as errors and contribute no latency sample.
+    """
+    latencies: list[float] = []
+    errors = 0
+    pending = deque()  # (submit time, finisher) per pending put, oldest first
+    index = 0
+    begin = now()
+    while True:
+        if spec.ops is not None:
+            more = index < spec.ops
+        else:
+            more = now() - begin < spec.runtime_s
+        if more and len(pending) < spec.iodepth:
+            name, block = _op_input(spec, index)
+            index += 1
+            begun = now()
+            try:
+                pending.append((begun, store.submit_put(name, block, policy)))
+            except (StoreError, ClientError):
+                errors += 1
+        elif pending:
+            begun, finish = pending.popleft()
+            try:
+                manifest = finish()
+            except (StoreError, ClientError):
+                errors += 1
+            else:
+                latencies.append(finished_at(begun, manifest) - begun)
+        else:
+            break
+    return _finish(spec, errors, now() - begin, latencies, store.stats)
+
+
 def _run_sim(spec: BenchSpec) -> BenchReport:
     """Virtual-time run: real transforms, modeled timing.
 
-    Operations are processed in issue order from a heap keyed by
-    (time, sequence); each completion issues the next op, so exactly
-    `iodepth` are in flight until the op budget or time budget runs
-    out.  The store put happens for real when the op is issued — the
-    model only decides when it would have finished.  A `none` put makes
-    no call, so it costs only the client overhead in either mode.
+    Runs `_drive` on a virtual clock that reads the modeled finish time
+    of the last put to finish, starting at 0.  Finishing a put prices
+    it on the links and the one worker pool its mode uses.  Every op of
+    a run has the same block size, so the same service time, and links
+    and pools serve in arrival order: puts finish in the order they
+    were submitted, so finishing the oldest is exact.  A `none` put
+    makes no call, so it costs only the client overhead in either mode.
     """
     sim = spec.sim
     latency_s = sim.latency_us / 1e6
@@ -454,72 +493,38 @@ def _run_sim(spec: BenchSpec) -> BenchReport:
     overhead_s = sim.client_overhead_us / 1e6
     egress = _FifoLink(bandwidth, latency_s)
     ingress = _FifoLink(bandwidth, latency_s)
-    server_pool = _WorkerPool(sim.server_workers)
-    local_pool = _WorkerPool(sim.local_workers)
-    store = _build_store(spec)
-    policy = _policy_for(spec, client=None)
-
-    def service_s(nbytes: int) -> float:
-        return (sim.service_fixed_us + sim.service_us_per_byte * nbytes) / 1e6
-
+    compressor = spec.mode == MODE_COMPRESSOR
+    pool = _WorkerPool(sim.local_workers if compressor else sim.server_workers)
+    service_s = (sim.service_fixed_us + sim.service_us_per_byte * spec.block_size) / 1e6
     request_size = protocol.HEADER_SIZE + _params_overhead(spec) + spec.block_size
-    heap: list[tuple[float, int]] = []
-    issued = 0
-    while issued < spec.iodepth and _may_issue(spec, issued, 0.0):
-        heap.append((0.0, issued))
-        issued += 1
-    heapq.heapify(heap)
+    clock = 0.0
 
-    completed = 0
-    latencies: list[float] = []
-    end = 0.0
-    while heap:
-        issue_time, index = heapq.heappop(heap)
-        manifest = store.put(*_op_input(spec, index), policy)
-        stored = sum(p.length for p in manifest.placements)
-        ready = issue_time + overhead_s
+    def finished_at(begun: float, manifest: ObjectManifest) -> float:
+        nonlocal clock
+        ready = begun + overhead_s
         if spec.transform == "none":
-            done = ready  # the store makes no call
-        elif spec.mode == MODE_COMPRESSOR:
-            done = local_pool.run(ready, service_s(spec.block_size))
+            clock = ready  # the store makes no call
+        elif compressor:
+            clock = pool.run(ready, service_s)
         else:
             arrived = egress.deliver(ready, request_size)
-            served = server_pool.run(arrived, service_s(spec.block_size))
-            done = ingress.deliver(served, protocol.HEADER_SIZE + stored)
-        latencies.append(done - issue_time)
-        completed += 1
-        end = max(end, done)
-        if _may_issue(spec, issued, done):
-            heapq.heappush(heap, (done, issued))
-            issued += 1
+            served = pool.run(arrived, service_s)
+            stored = sum(p.length for p in manifest.placements)
+            clock = ingress.deliver(served, protocol.HEADER_SIZE + stored)
+        return clock
 
-    return _finish(
-        spec,
-        completed,
-        errors=0,
-        elapsed_s=end,
-        latencies_s=latencies,
-        raw_bytes=store.stats.raw_bytes,
-        stored_bytes=store.stats.stored_bytes,
-    )
+    store = _build_store(spec)
+    return _drive(spec, store, _policy_for(spec, None), lambda: clock, finished_at)
 
 
 def _run_tcp(spec: BenchSpec) -> BenchReport:
     """Wall-clock run against a real loopback server.
 
-    The calling thread keeps `iodepth` puts pending, as fio's iodepth
-    does with an async engine: it submits puts until `iodepth` are
-    pending, then finishes the oldest.  In instance mode their calls
-    share one pipelined connection; compressor mode starts no server,
-    and its in-process transform runs during submit.  A latency sample
-    runs from submit to finish, and each operation's name and block are
-    generated before its clock starts.  Failed puts count as errors and
-    contribute no latency sample.
+    Runs `_drive` on `time.perf_counter`, from the calling thread.  In
+    instance mode the pending puts' calls share one pipelined
+    connection; compressor mode starts no server, and its in-process
+    transform runs during submit.
     """
-    latencies: list[float] = []
-    errors = 0
-    pending = deque()  # (submit time, finisher) per pending put, oldest first
-
     serving = (
         Server(ServerConfig(), default_registry())
         if spec.mode == MODE_INSTANCE
@@ -533,42 +538,11 @@ def _run_tcp(spec: BenchSpec) -> BenchReport:
         try:
             store = _build_store(spec)
             policy = _policy_for(spec, client=client)
-            index = 0
-            begin = time.perf_counter()
-            while True:
-                more = _may_issue(spec, index, time.perf_counter() - begin)
-                if more and len(pending) < spec.iodepth:
-                    name, block = _op_input(spec, index)
-                    index += 1
-                    begun = time.perf_counter()
-                    try:
-                        pending.append((begun, store.submit_put(name, block, policy)))
-                    except (StoreError, ClientError):
-                        errors += 1
-                elif pending:
-                    begun, finish = pending.popleft()
-                    try:
-                        finish()
-                    except (StoreError, ClientError):
-                        errors += 1
-                    else:
-                        latencies.append(time.perf_counter() - begun)
-                else:
-                    break
-            elapsed = time.perf_counter() - begin
+            wall = time.perf_counter
+            return _drive(spec, store, policy, wall, lambda begun, manifest: wall())
         finally:
             if client is not None:
                 client.close()
-
-    return _finish(
-        spec,
-        completed=len(latencies),
-        errors=errors,
-        elapsed_s=elapsed,
-        latencies_s=latencies,
-        raw_bytes=store.stats.raw_bytes,
-        stored_bytes=store.stats.stored_bytes,
-    )
 
 
 def run(spec: BenchSpec) -> BenchReport:
@@ -812,8 +786,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--calibrate", action="store_true",
-        help="measure service costs on this machine instead of the fixed defaults"
-        " (sim runs stop being reproducible)",
+        help="measure the codec's compress time on this machine and use it as"
+        " the service cost instead of the fixed defaults (--transport sim"
+        " --transform compress only; runs stop being reproducible)",
     )
     args = parser.parse_args(argv)
 
@@ -823,6 +798,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.sim_bw_mbps is not None:
         sim_kwargs["bandwidth_mbps"] = args.sim_bw_mbps
     if args.calibrate:
+        # The calibrated cost is a compress time: it would misprice an EC
+        # encode, and the tcp transport uses no modeled cost at all.
+        if (args.transport, args.transform) != (TRANSPORT_SIM, "compress"):
+            parser.error("--calibrate needs --transport sim --transform compress")
         fixed, per_byte = calibrate_service_cost(
             _CODEC_BY_NAME[args.codec], args.zero_fraction
         )

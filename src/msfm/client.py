@@ -20,9 +20,10 @@ regardless of arrival order; the others sleep on one condition until a
 response of theirs arrives or the reader leaves and one of them takes
 the turn.  The reader decodes every frame of a chunk in one pass and
 finishes their Instances under one lock acquisition, with one wake-up.
-A remote Client therefore starts no thread.  That condition's lock
-guards all of the client's shared state; only the send lock is
-separate, so that a reader can deliver responses while a send blocks.
+A remote Client therefore starts no thread.  That condition's lock,
+taken directly as `_lock`, guards all of the client's shared state;
+only the send lock is separate, so that a reader can deliver responses
+while a send blocks.
 The server stops reading requests while its answers go unread, so a
 sender whose write stalls reads them too: one thread may pipeline any
 number of calls before it awaits any.
@@ -295,10 +296,10 @@ class Instance:
         """Move to a terminal state; the result is stored before the state.
 
         await_result reads the state without a lock.  The caller holds
-        the client's `_turn` condition and has just taken this Instance
-        out of `_pending` (in-process: submit has not returned it yet).
+        the client's `_lock` and has just taken this Instance out of
+        `_pending` (in-process: submit has not returned it yet).
         Whoever finishes another thread's Instance must notify `_turn`,
-        which its waiter sleeps on, before releasing it.
+        which its waiter sleeps on, before releasing `_lock`.
         """
         self._payload = payload
         self._error = error
@@ -341,8 +342,9 @@ class Client:
     request on the caller's own thread, the queue goes out in one send
     on the thread that awaits or fills it, and the callers awaiting
     Instances take turns reading responses (see the module docstring).
-    A reader takes `_turn`'s lock once per chunk it reads, not once per
-    response, and wakes the waiters at most once.
+    A reader takes `_lock`, the lock of the `_turn` condition, once per
+    chunk it reads, not once per response, and wakes the waiters at
+    most once.
     In-process mode executes during submit.  Thread-safe: submit/call
     may run from many threads at once.
     """
@@ -357,7 +359,7 @@ class Client:
         self.config = config
         self._clock = clock or Clock()
         self._ids = itertools.count(1)
-        # Under _turn: whether the client is closed, the calls awaiting
+        # Under _lock: whether the client is closed, the calls awaiting
         # a response, the encoded requests not yet handed to a send,
         # their total size, the requests queued or being written
         # (<= max_queue_depth), and whether a thread is reading the
@@ -369,8 +371,11 @@ class Client:
         self._outbox_bytes = 0
         self._unwritten = 0
         self._reading = False
-        self._turn = threading.Condition(threading.Lock())
-        # Taken before _turn, which is never held across a send or recv.
+        # Blocks take the Lock itself, whose context manager is C code;
+        # waits and notifies go through the Condition over it.
+        self._lock = threading.Lock()
+        self._turn = threading.Condition(self._lock)
+        # Taken before _lock, which is never held across a send or recv.
         self._send_lock = threading.Lock()
         self._decoder = FrameDecoder()
         self._transport: Transport | None = None
@@ -450,7 +455,7 @@ class Client:
         Safe from any thread: closing the transport wakes a caller that
         is blocked reading it.
         """
-        with self._turn:
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
@@ -484,7 +489,7 @@ class Client:
 
     def _enqueue(self, instance: Instance, data: bytes) -> None:
         """Queue an encoded request; write the queue if it is full."""
-        with self._turn:
+        with self._lock:
             # Checked under the lock that _fail_all takes, so a request
             # queued after close() cannot be left unfailed.
             if self._closed:
@@ -513,7 +518,7 @@ class Client:
         """
         assert self._transport is not None
         with self._send_lock:
-            with self._turn:
+            with self._lock:
                 batch = self._outbox
                 if not batch:
                     return
@@ -524,7 +529,7 @@ class Client:
             except OSError as exc:
                 self._fail_all(TransportError(f"send failed: {exc}"))
             finally:
-                with self._turn:
+                with self._lock:
                     self._unwritten -= len(batch)
 
     def _read_for_stalled_send(self) -> None:
@@ -537,7 +542,7 @@ class Client:
         """
         if self._closed:
             raise OSError("client closed")
-        with self._turn:
+        with self._lock:
             while self._reading:
                 self._turn.wait()
             self._reading = True
@@ -556,7 +561,7 @@ class Client:
         answered.  The calling thread takes the turn and reads the
         connection itself if no other thread is reading; otherwise it
         sleeps on `_turn` until a reader delivers a response or leaves.
-        A reader delivers and leaves while it holds `_turn`'s lock, and
+        A reader delivers and leaves while it holds `_lock`, and
         a thread sleeps there only after it saw, under that same lock,
         another thread reading and its instance still sent; so no thread
         misses its response or the turn.  A thread woken past its
@@ -568,7 +573,7 @@ class Client:
             self._flush()
         while instance._state is _SENT:
             remaining = deadline - self._clock.now()
-            with self._turn:
+            with self._lock:
                 if self._reading:
                     if remaining <= 0:
                         return
@@ -588,7 +593,7 @@ class Client:
 
     def _leave(self) -> None:
         """Give up the turn to read and wake one waiter to take it."""
-        with self._turn:
+        with self._lock:
             self._reading = False
             self._turn.notify()
 
@@ -625,7 +630,7 @@ class Client:
         """
         others = False
         pending = self._pending
-        with self._turn:
+        with self._lock:
             for frame in frames:
                 correlation_id = frame.correlation_id
                 instance = pending.pop(correlation_id, None)
@@ -648,7 +653,7 @@ class Client:
 
         The queued requests are never sent.
         """
-        with self._turn:
+        with self._lock:
             self._closed = True
             for instance in self._pending.values():
                 instance._finish(_FAILED, error=error)
@@ -660,7 +665,7 @@ class Client:
 
     def _expire(self, instance: Instance, error: ClientError) -> None:
         """Time out `instance` unless a response or failure ended it first."""
-        with self._turn:
+        with self._lock:
             # Still sent means still pending: both change under this lock.
             if instance._state is _SENT:
                 del self._pending[instance.correlation_id]

@@ -250,6 +250,78 @@ def test_latency_dominated_round_trip_rate():
     assert run(spec).iops == pytest.approx(500.0, rel=0.01)
 
 
+@pytest.mark.parametrize("mode", ["instance", "compressor"])
+@pytest.mark.parametrize(
+    "budget",
+    [{"ops": 300, "runtime_s": None}, {"ops": None, "runtime_s": 0.02}],
+    ids=["ops", "runtime"],
+)
+def test_sim_keeps_iodepth_puts_pending_through_submit_put(monkeypatch, mode, budget):
+    submitted = pending = most = 0
+    submit_put = ObjectStore.submit_put
+
+    def counting_submit_put(store, name, data, policy):
+        nonlocal submitted, pending, most
+        finish = submit_put(store, name, data, policy)
+        submitted += 1
+        pending += 1
+        most = max(most, pending)
+
+        def counting_finish():
+            nonlocal pending
+            pending -= 1
+            return finish()
+
+        return counting_finish
+
+    monkeypatch.setattr(ObjectStore, "submit_put", counting_submit_put)
+    report = run(sim_spec(block_size=4096, iodepth=16, mode=mode, **budget))
+    assert most == 16
+    assert pending == 0
+    assert report.errors == 0
+    assert report.completed == submitted
+    assert report.completed == (budget["ops"] or report.completed) > 16
+
+
+# The single loop finishes the oldest pending put, which is exact only if
+# puts finish in submit order: equal transfers and jobs must leave the
+# links and the pool in the order they arrived.
+
+
+@given(
+    bandwidth=st.floats(1e3, 1e12),
+    latency=st.floats(0.0, 1.0),
+    transfers=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.integers(1, 1 << 20)), min_size=1, max_size=30
+    ),
+)
+@settings(max_examples=200)
+def test_link_delivers_in_submit_order(bandwidth, latency, transfers):
+    # Over these bandwidths (bytes/s) a transfer outlasts the float
+    # resolution of the clock, so delivery times strictly increase.
+    link = bench._FifoLink(bandwidth, latency)
+    now, times = 0.0, []
+    for gap, size in transfers:
+        now += gap
+        times.append(link.deliver(now, size))
+    assert all(earlier < later for earlier, later in zip(times, times[1:]))
+
+
+@given(
+    workers=st.integers(1, 64),
+    service=st.floats(0.0, 1e3),
+    gaps=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=100),
+)
+@settings(max_examples=200)
+def test_pool_finishes_equal_jobs_in_submit_order(workers, service, gaps):
+    pool = bench._WorkerPool(workers)
+    now, times = 0.0, []
+    for gap in gaps:
+        now += gap
+        times.append(pool.run(now, service))
+    assert times == sorted(times)
+
+
 # ---------------------------------------------------------------------------
 # Trends the model must reproduce
 
@@ -475,6 +547,22 @@ def test_cli_rejects_bad_spec(capsys):
     rc = bench.main(["--ops", "0"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--transform", "ec"], ["--transport", "tcp"]], ids=["ec", "tcp"]
+)
+def test_cli_rejects_calibrate_outside_sim_compress(monkeypatch, capsys, flags):
+    # The calibrated cost is the codec's compress time: it does not price an
+    # EC encode, and the tcp transport models no cost.
+    def no_calibration(*args):
+        raise AssertionError("calibrated a run that cannot use the cost")
+
+    monkeypatch.setattr(bench, "calibrate_service_cost", no_calibration)
+    with pytest.raises(SystemExit) as exited:
+        bench.main(["--calibrate", "--ops", "10", *flags])
+    assert exited.value.code == 2
+    assert "error: --calibrate" in capsys.readouterr().err
 
 
 def test_cli_duration_parsing():

@@ -108,10 +108,10 @@ class RecordingTransport(LoopbackTransport):
 
 
 class WaitSignallingCondition(threading.Condition):
-    """A Condition that sets `entered` whenever a thread starts to wait on it."""
+    """A Condition over `lock` that sets `entered` whenever a thread waits on it."""
 
-    def __init__(self):
-        super().__init__(threading.Lock())
+    def __init__(self, lock):
+        super().__init__(lock)
         self.entered = threading.Event()
 
     def wait(self, timeout=None):
@@ -525,7 +525,7 @@ def test_reader_wakes_waiting_callers_and_hands_over_when_it_leaves():
     gates = {cid: threading.Event() for cid in (1, 2, 3)}
     transport = HeldTransport(gates)
     client = loopback_client(transport=transport)
-    client._turn = turn = WaitSignallingCondition()
+    client._turn = turn = WaitSignallingCondition(client._lock)
     results = {}
 
     def call(data):
@@ -577,7 +577,7 @@ def test_a_waiter_woken_past_its_deadline_passes_the_turn_on():
     transport = HeldTransport(gates)
     clock = SteppingClock()
     client = loopback_client(transport=transport, clock=clock)
-    client._turn = turn = WaitSignallingCondition()
+    client._turn = turn = WaitSignallingCondition(client._lock)
     results = {}
 
     def call(data, timeout_ms):
