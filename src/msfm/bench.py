@@ -220,6 +220,7 @@ class BenchReport:
     lat_max_us: float
     raw_bytes: int
     stored_bytes: int
+    untimed_s: float
 
     def metric(self) -> float:
         """The headline number for this spec's workload.
@@ -232,7 +233,7 @@ class BenchReport:
         return self.bandwidth_mbps
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "spec": self.spec.to_dict(),
             "completed": self.completed,
             "errors": self.errors,
@@ -250,6 +251,10 @@ class BenchReport:
             "raw_bytes": self.raw_bytes,
             "stored_bytes": self.stored_bytes,
         }
+        # A virtual clock does not move while inputs are made.
+        if self.spec.transport == TRANSPORT_TCP:
+            out["untimed_s"] = self.untimed_s
+        return out
 
 
 @dataclass(frozen=True)
@@ -362,6 +367,7 @@ def _finish(
     elapsed_s: float,
     latencies_s: list[float],
     stats: StoreStats,
+    untimed_s: float,
 ) -> BenchReport:
     completed = len(latencies_s)
     iops = completed / elapsed_s if elapsed_s > 0 else 0.0
@@ -393,6 +399,7 @@ def _finish(
         lat_max_us=lat["max"],
         raw_bytes=stats.raw_bytes,
         stored_bytes=stats.stored_bytes,
+        untimed_s=untimed_s,
     )
 
 
@@ -441,23 +448,37 @@ def _drive(
     Submits puts through `ObjectStore.submit_put` until `iodepth` are
     pending or the op or time budget is spent, then finishes the oldest,
     as fio's iodepth does with an async engine.  A put's latency runs
-    from its submit to `finished_at(submit time, manifest)`, and each
-    operation's name and block are generated before its clock starts.
-    Failed puts count as errors and contribute no latency sample.
+    from its submit to `finished_at(submit time, manifest)`.  Failed
+    puts count as errors and contribute no latency sample.
+
+    Making an operation's name and block is not timed.  With an op
+    budget every input is made before the loop starts; with a runtime
+    budget each is made before its submit.  Either way the time spent
+    making them is reported as `untimed_s` and left out of both the
+    elapsed time and the runtime budget.
     """
     latencies: list[float] = []
     errors = 0
     pending = deque()  # (submit time, finisher) per pending put, oldest first
+    inputs = None
     index = 0
     begin = now()
+    if spec.ops is not None:
+        inputs = deque(_op_input(spec, i) for i in range(spec.ops))
+    untimed = now() - begin
     while True:
-        if spec.ops is not None:
-            more = index < spec.ops
+        if inputs is not None:
+            more = bool(inputs)
         else:
-            more = now() - begin < spec.runtime_s
+            more = now() - begin - untimed < spec.runtime_s
         if more and len(pending) < spec.iodepth:
-            name, block = _op_input(spec, index)
-            index += 1
+            if inputs is not None:
+                name, block = inputs.popleft()
+            else:
+                made = now()
+                name, block = _op_input(spec, index)
+                untimed += now() - made
+                index += 1
             begun = now()
             try:
                 pending.append((begun, store.submit_put(name, block, policy)))
@@ -473,7 +494,8 @@ def _drive(
                 latencies.append(finished_at(begun, manifest) - begun)
         else:
             break
-    return _finish(spec, errors, now() - begin, latencies, store.stats)
+    elapsed = now() - begin - untimed
+    return _finish(spec, errors, elapsed, latencies, store.stats, untimed)
 
 
 def _run_sim(spec: BenchSpec) -> BenchReport:

@@ -9,16 +9,15 @@ The caller-facing half of the offload path:
 `submit` assigns the call a correlation id, encodes its request frame
 and appends it to an outbound queue, so many requests may be in flight
 at once (pipelined).  The queue goes out in one write, under a send
-lock, at the first of: a caller awaiting any Instance, the queue
-holding `max_queue_depth` requests, or the queue holding 64 KiB.  So a
-batch of pipelined calls costs one send, and a caller never reads
-before its own request is on the wire.  Responses are read by the
-callers themselves, in the leader/followers pattern: of the threads
-awaiting an Instance, one at a time has the turn to read the
-connection, pairing each response to its Instance by correlation id
-regardless of arrival order; the others sleep on one condition until a
-response of theirs arrives or the reader leaves and one of them takes
-the turn.  The reader decodes every frame of a chunk in one pass and
+lock, at the first of: a caller awaiting any Instance, or the queue
+holding 64 KiB.  So a batch of pipelined calls costs one send, and a
+caller never reads before its own request is on the wire.  Responses
+are read by the callers themselves, in the leader/followers pattern:
+of the threads awaiting an Instance, one at a time has the turn to
+read the connection, pairing each response to its Instance by
+correlation id regardless of arrival order; the others sleep on one
+condition until a response of theirs arrives or the reader leaves and
+one of them takes the turn.  The reader decodes every frame of a chunk in one pass and
 finishes their Instances under one lock acquisition, with one wake-up.
 A remote Client therefore starts no thread.  That condition's lock,
 taken directly as `_lock`, guards all of the client's shared state;
@@ -37,10 +36,11 @@ behavioral difference between the modes is a bug, not a mode property.
 Both the clock and the transport are injectable, which keeps timeout
 logic and network behavior testable without real sleeping or sockets.
 
-Failure policy: in remote mode at most `max_queue_depth` requests may
-be queued or being written at once, and one more raises Backpressure
-instead of blocking; in-process mode runs each call before submit
-returns, so it queues nothing and never raises Backpressure.  A
+Failure policy: submit never refuses a call for the number already in
+flight, in either mode.  In-process mode runs each call before submit
+returns.  In remote mode a submit that fills the queue to 64 KiB
+writes it, waiting on the send lock for any send in progress; so the
+queue holds at most 64 KiB plus one request per submitting thread.  A
 response that arrives after its Instance timed out is discarded.  A
 transport failure fails every in-flight Instance with TransportError,
 queued ones included, and close() fails them with ClientClosed without
@@ -66,10 +66,6 @@ from .server import default_registry, dispatch
 
 class ClientError(Exception):
     """Base class for client-side errors."""
-
-
-class Backpressure(ClientError):
-    """max_queue_depth remote requests are already queued or being written."""
 
 
 class ClientClosed(ClientError):
@@ -222,25 +218,17 @@ _FLUSH_BYTES = 64 * 1024
 
 @dataclass
 class ClientConfig:
-    """Execution mode and limits.  timeout_ms > 0, max_queue_depth >= 1.
-
-    max_queue_depth bounds the requests that are queued or being
-    written in remote mode; a full queue is written at once, so it also
-    caps the requests one send carries.  In-process mode ignores it.
-    """
+    """Execution mode, server address (remote) and request timeout > 0."""
 
     mode: str = MODE_IN_PROCESS
     address: tuple[str, int] | None = None
     timeout_ms: float = 5000.0
-    max_queue_depth: int = 64
 
     def __post_init__(self) -> None:
         if self.mode not in (MODE_REMOTE, MODE_IN_PROCESS):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.timeout_ms <= 0:
             raise ValueError("timeout_ms must be > 0")
-        if self.max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be >= 1")
 
 
 class InstanceState(Enum):
@@ -262,9 +250,9 @@ class Instance:
     """Handle for one submitted call.
 
     Created sent, once its request frame is built (remote: queued, then
-    written when any caller awaits or the queue fills); exactly one of
-    completed/failed/timed-out ends it, and the result slot (payload or
-    error) is written at most once.  await_result blocks only its
+    written when any caller awaits or the queue reaches 64 KiB);
+    exactly one of completed/failed/timed-out ends it, and the result
+    slot (payload or error) is written at most once.  await_result blocks only its
     caller and is idempotent once terminal.
     """
 
@@ -361,15 +349,13 @@ class Client:
         self._ids = itertools.count(1)
         # Under _lock: whether the client is closed, the calls awaiting
         # a response, the encoded requests not yet handed to a send,
-        # their total size, the requests queued or being written
-        # (<= max_queue_depth), and whether a thread is reading the
+        # their total size, and whether a thread is reading the
         # connection.  Awaiting threads that do not read sleep on _turn
         # until a response of theirs arrives or the reader leaves.
         self._closed = False
         self._pending: dict[int, Instance] = {}
         self._outbox: list[bytes] = []
         self._outbox_bytes = 0
-        self._unwritten = 0
         self._reading = False
         # Blocks take the Lock itself, whose context manager is C code;
         # waits and notifies go through the Condition over it.
@@ -383,7 +369,6 @@ class Client:
         if config.mode == MODE_IN_PROCESS:
             self._registry = default_registry()
             return
-        self._registry = {}
         self._transport = transport or self._connect()
 
     def _connect(self) -> Transport:
@@ -411,13 +396,11 @@ class Client:
 
         The request frame is built and encoded on the calling thread and
         queued; the queue is written in one send when a caller awaits
-        any Instance, or at once if it now holds max_queue_depth
-        requests or 64 KiB.  In-process mode executes the call before
-        returning.
+        any Instance, or at once if it now holds 64 KiB, after any send
+        in progress.  In-process mode executes the call before
+        returning.  No count of calls in flight is ever refused.
 
         Raises:
-            Backpressure: In remote mode, max_queue_depth requests are
-                already queued or being written.
             ClientClosed: close() was called or the connection died.
             ValueError: The request cannot be encoded as a frame (for
                 example a function id beyond u16), in either mode;
@@ -488,23 +471,16 @@ class Client:
                 return correlation_id
 
     def _enqueue(self, instance: Instance, data: bytes) -> None:
-        """Queue an encoded request; write the queue if it is full."""
+        """Queue an encoded request; write the queue once it holds 64 KiB."""
         with self._lock:
             # Checked under the lock that _fail_all takes, so a request
             # queued after close() cannot be left unfailed.
             if self._closed:
                 raise ClientClosed("client is closed")
-            depth = self.config.max_queue_depth
-            if self._unwritten >= depth:
-                raise Backpressure(f"{depth} requests already queued or being written")
-            self._unwritten += 1
             self._pending[instance.correlation_id] = instance
             self._outbox.append(data)
             self._outbox_bytes += len(data)
-            full = (
-                len(self._outbox) >= self.config.max_queue_depth
-                or self._outbox_bytes >= _FLUSH_BYTES
-            )
+            full = self._outbox_bytes >= _FLUSH_BYTES
         if full:
             self._flush()
 
@@ -528,9 +504,6 @@ class Client:
                 self._transport.send(b"".join(batch), self._read_for_stalled_send)
             except OSError as exc:
                 self._fail_all(TransportError(f"send failed: {exc}"))
-            finally:
-                with self._lock:
-                    self._unwritten -= len(batch)
 
     def _read_for_stalled_send(self) -> None:
         """Read the answers that keep the server from taking a request.
@@ -558,7 +531,10 @@ class Client:
         written, so the request awaited (and every other request queued
         so far) is on the wire before this thread reads or waits: a
         stalled sender can then rely on every reader leaving once it is
-        answered.  The calling thread takes the turn and reads the
+        answered.  That test takes no lock: a batch leaves the queue only
+        while its taker holds the send lock, so an empty queue seen
+        before a free send lock means every request queued earlier has
+        been written.  The calling thread takes the turn and reads the
         connection itself if no other thread is reading; otherwise it
         sleeps on `_turn` until a reader delivers a response or leaves.
         A reader delivers and leaves while it holds `_lock`, and
@@ -569,7 +545,7 @@ class Client:
         the wake-up may have been the turn, which then passes on to a
         thread still waiting.
         """
-        if self._unwritten:
+        if self._outbox or self._send_lock.locked():
             self._flush()
         while instance._state is _SENT:
             remaining = deadline - self._clock.now()
@@ -658,7 +634,6 @@ class Client:
             for instance in self._pending.values():
                 instance._finish(_FAILED, error=error)
             self._pending.clear()
-            self._unwritten -= len(self._outbox)
             self._outbox = []
             self._outbox_bytes = 0
             self._turn.notify_all()

@@ -61,7 +61,7 @@ import sys
 import threading
 import urllib.parse
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -75,6 +75,7 @@ from .protocol import (
     EcEncodeParams,
     FunctionId,
 )
+from .server import parse_address
 
 MANIFEST_VERSION = 1
 
@@ -570,6 +571,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--server",
+        type=parse_address,
         metavar="ADDR:PORT",
         help="run transforms on this server instead of in-process",
     )
@@ -597,14 +599,21 @@ def main(argv: list[str] | None = None) -> int:
     p_rev.add_argument("id", type=int)
 
     args = parser.parse_args(argv)
-    store = ObjectStore(osd_count=args.osds, root=args.root)
+    # The store checks its OSD count before it creates any directory.
+    try:
+        policy = ObjectPolicy.none()
+        if args.command == "put" and args.transform == "ec":
+            policy = ObjectPolicy.ec(args.k, args.m)
+        elif args.command == "put" and args.transform != "none":
+            policy = ObjectPolicy.compress(codec_mod.CODEC_NAMES[args.transform])
+        store = ObjectStore(osd_count=args.osds, root=args.root)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     client = None
     if args.server:
-        host, _, port = args.server.rpartition(":")
-        client = Client(
-            ClientConfig(mode="remote", address=(host or "127.0.0.1", int(port)))
-        )
+        client = Client(ClientConfig(mode="remote", address=args.server))
+        policy = replace(policy, client=client)
 
     try:
         if args.command == "put":
@@ -613,14 +622,6 @@ def main(argv: list[str] | None = None) -> int:
                 if args.file == "-"
                 else Path(args.file).read_bytes()
             )
-            if args.transform == "none":
-                policy = ObjectPolicy.none(client)
-            elif args.transform == "ec":
-                policy = ObjectPolicy.ec(args.k, args.m, client)
-            else:
-                policy = ObjectPolicy.compress(
-                    codec_mod.CODEC_NAMES[args.transform], client
-                )
             manifest = store.put(args.name, data, policy)
             stored = sum(p.length for p in manifest.placements)
             print(

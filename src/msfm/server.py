@@ -278,6 +278,14 @@ class _Connection(socketserver.BaseRequestHandler):
             pass  # peer went away; nothing useful left to do
 
 
+def parse_address(text: str) -> tuple[str, int]:
+    """argparse type for ADDR:PORT; ADDR may be left out for 127.0.0.1."""
+    host, _, port = text.rpartition(":")
+    if not (port.isascii() and port.isdigit() and int(port) <= 0xFFFF):
+        raise argparse.ArgumentTypeError(f"bad ADDR:PORT {text!r}")
+    return host or "127.0.0.1", int(port)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="msfm-server",
@@ -285,6 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--listen",
+        type=parse_address,
         default="127.0.0.1:9620",
         metavar="ADDR:PORT",
         help="listen address (default %(default)s)",
@@ -298,19 +307,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-connections", type=int, default=64, metavar="N")
     parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args(argv)
+    host, port = args.listen
+    try:
+        config = ServerConfig(
+            host=host,
+            port=port,
+            max_connections=args.max_connections,
+            max_frame_bytes=args.max_frame_mb * 1024 * 1024,
+        )
+        registry = default_registry(args.functions)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(asctime)s %(levelname)s %(name)s: %(message)s",
     )
-    host, _, port = args.listen.rpartition(":")
-    config = ServerConfig(
-        host=host or "127.0.0.1",
-        port=int(port),
-        max_connections=args.max_connections,
-        max_frame_bytes=args.max_frame_mb * 1024 * 1024,
-    )
-    server = Server(config, default_registry(args.functions))
+    server = Server(config, registry)
     server.start()
     stop = threading.Event()
     signal.signal(signal.SIGINT, lambda *_: stop.set())

@@ -162,9 +162,7 @@ def test_pipelined_responses_pair_with_requests_under_reordering():
             # reorders its responses on the way to the client.
             transport = JitterTransport(*server.address, jitter_ms=2.0, seed=7)
             client = Client(
-                ClientConfig(
-                    mode=MODE_REMOTE, timeout_ms=30_000.0, max_queue_depth=64
-                ),
+                ClientConfig(mode=MODE_REMOTE, timeout_ms=30_000.0),
                 transport=transport,
             )
             failures: list[str] = []

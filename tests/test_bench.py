@@ -488,6 +488,37 @@ def test_tcp_keeps_iodepth_puts_pending_from_the_calling_thread(
     assert report.completed == budget.get("ops", report.completed) > 16
 
 
+@pytest.mark.parametrize(
+    "budget", [{"ops": 10}, {"runtime_s": 0.0095}], ids=["ops", "runtime"]
+)
+def test_making_inputs_is_left_out_of_the_timed_window(monkeypatch, budget):
+    # On a fake clock, making an op's input takes 1 s and a put 1 ms.
+    clock = 0.0
+    op_input = bench._op_input
+
+    def slow_op_input(spec, index):
+        nonlocal clock
+        clock += 1.0
+        return op_input(spec, index)
+
+    def finished_at(begun, manifest):
+        nonlocal clock
+        clock += 0.001
+        return clock
+
+    monkeypatch.setattr(bench, "_op_input", slow_op_input)
+    spec = BenchSpec(transform="none", transport="tcp", seed=5, **budget)
+    policy = bench._policy_for(spec, None)
+    store = bench._build_store(spec)
+    report = bench._drive(spec, store, policy, lambda: clock, finished_at)
+    assert report.completed == 10
+    assert report.elapsed_s == pytest.approx(0.010)
+    assert report.iops == pytest.approx(1000.0)
+    assert report.lat_mean_us == pytest.approx(1000.0)
+    assert report.untimed_s == pytest.approx(10.0)
+    assert report.to_dict()["untimed_s"] == report.untimed_s
+
+
 # ---------------------------------------------------------------------------
 # Reporting and CLI
 
@@ -498,6 +529,7 @@ def test_report_serializes_to_json():
     assert document["completed"] == 20
     assert document["spec"]["codec"] == "rle0"
     assert set(document["latency_us"]) == {"min", "mean", "p50", "p95", "p99", "max"}
+    assert "untimed_s" not in document  # tcp reports only
 
 
 def test_render_table_aligns_all_rows():

@@ -12,7 +12,6 @@ import pytest
 from loopback import LoopbackTransport
 from msfm import codec, gfec, protocol
 from msfm.client import (
-    Backpressure,
     Client,
     ClientClosed,
     ClientConfig,
@@ -184,7 +183,7 @@ def test_in_process_calls_meet_no_queue_limit(monkeypatch):
         return original(frame, registry)
 
     monkeypatch.setattr(client_module, "dispatch", held)
-    with in_process_client(max_queue_depth=1) as client:
+    with in_process_client() as client:
         results = []
         first = threading.Thread(
             target=lambda: results.append(
@@ -223,25 +222,79 @@ def test_remote_and_local_agree_on_errors():
         assert str(local_err.value) == str(remote_err.value)
 
 
-def test_backpressure_when_queue_full():
-    gate = threading.Event()
-    transport = LoopbackTransport(send_gate=gate)
-    client = loopback_client(transport=transport, max_queue_depth=1)
+def start_a_gated_call(client, transport):
+    """Start a thread whose call holds the send lock until the gate opens."""
     results = []
-    first = threading.Thread(
+    thread = threading.Thread(
         target=lambda: results.append(
-            client.call(FunctionId.COMPRESS, CompressParams(1), b"a" * 100, 2000)
+            client.call(FunctionId.COMPRESS, CompressParams(1), b"a" * 100, 5000)
         )
     )
-    first.start()
-    assert transport.send_entered.wait(5)  # the first call holds the only slot
-    with pytest.raises(Backpressure):
-        client.submit(FunctionId.COMPRESS, CompressParams(1), b"b" * 100)
-    gate.set()  # unblock the first send, then that call completes normally
-    first.join(5)
-    assert not first.is_alive()
-    assert [codec.decompress(block) for block in results] == [b"a" * 100]
-    client.close()
+    thread.start()
+    assert transport.send_entered.wait(5)
+    return thread, results
+
+
+def test_submits_behind_a_gated_send_are_never_refused():
+    gate = threading.Event()
+    transport = LoopbackTransport(send_gate=gate)
+    client = loopback_client(transport=transport)
+    try:
+        first, results = start_a_gated_call(client, transport)
+        # About 12 KiB of requests queue behind the held send; none is refused.
+        blocks = [bytes([n]) * 100 for n in range(100)]
+        instances = [
+            client.submit(FunctionId.COMPRESS, CompressParams(1), block)
+            for block in blocks
+        ]
+        gate.set()
+        first.join(5)
+        assert not first.is_alive()
+        assert [codec.decompress(block) for block in results] == [b"a" * 100]
+        done = [codec.decompress(i.await_result(5000)) for i in instances]
+        assert done == blocks
+    finally:
+        gate.set()
+        client.close()
+
+
+def test_a_submit_that_fills_the_queue_waits_for_the_send_in_progress():
+    gate = threading.Event()
+    transport = LoopbackTransport(send_gate=gate)
+    client = loopback_client(transport=transport)
+    blocks = [bytes([n]) * 1000 for n in range(100)]
+    request = protocol.request(FunctionId.COMPRESS, 1, CompressParams(1), blocks[0])
+    size = len(protocol.encode_frame(request))
+    filling = -(-64 * 1024 // size)  # the submit that brings the queue to 64 KiB
+    instances = []
+
+    def submit_all():
+        for block in blocks:
+            instances.append(
+                client.submit(FunctionId.COMPRESS, CompressParams(1), block)
+            )
+
+    second = threading.Thread(target=submit_all)
+    try:
+        first, results = start_a_gated_call(client, transport)
+        second.start()
+        # The filling submit waits for the held send, so it has not returned.
+        for _ in range(500):
+            if len(instances) == filling - 1:
+                break
+            time.sleep(0.01)
+        time.sleep(0.1)
+        assert second.is_alive() and len(instances) == filling - 1
+        gate.set()
+        second.join(5)
+        first.join(5)
+        assert not second.is_alive() and not first.is_alive()
+        assert [codec.decompress(block) for block in results] == [b"a" * 100]
+        done = [codec.decompress(i.await_result(5000)) for i in instances]
+        assert done == blocks
+    finally:
+        gate.set()
+        client.close()
 
 
 def test_pipelined_submits_go_out_in_one_send():
@@ -300,15 +353,10 @@ def test_a_request_queued_by_one_thread_goes_out_when_another_awaits():
 
 def test_a_full_queue_is_written_at_submit():
     transport = RecordingTransport()
-    with loopback_client(transport=transport, max_queue_depth=4) as client:
-        for n in range(3):
-            client.submit(FunctionId.COMPRESS, CompressParams(1), bytes([n]))
-        assert transport.sends == []
-        client.submit(FunctionId.COMPRESS, CompressParams(1), b"fourth")
-        assert len(transport.sends) == 1 and len(transport.frames_of(0)) == 4
+    with loopback_client(transport=transport) as client:
         # A request of 64 KiB leaves at once, even alone in the queue.
         client.submit(FunctionId.COMPRESS, CompressParams(1), bytes(64 * 1024))
-        assert len(transport.sends) == 2 and len(transport.frames_of(1)) == 1
+        assert len(transport.sends) == 1 and len(transport.frames_of(0)) == 1
 
 
 def test_close_fails_queued_requests_without_sending_them():
@@ -468,7 +516,7 @@ def test_transport_failure_fails_pending_instances():
 
 def test_correlation_safety_under_reordering():
     transport = LoopbackTransport(jitter_ms=8, workers=4, seed=3)
-    client = loopback_client(transport=transport, max_queue_depth=128)
+    client = loopback_client(transport=transport)
     rng = random.Random(5)
     nonces = {}
     instances = {}
@@ -484,7 +532,7 @@ def test_correlation_safety_under_reordering():
 
 def test_concurrent_callers_pair_correctly():
     transport = LoopbackTransport(jitter_ms=4, workers=4, seed=9)
-    client = loopback_client(transport=transport, max_queue_depth=128)
+    client = loopback_client(transport=transport)
     errors = []
 
     def worker(seed):
@@ -816,7 +864,7 @@ def test_one_thread_may_submit_more_than_the_socket_buffers_hold():
         outcome.extend(instance.await_result(10_000) for instance in instances)
 
     with Server(ServerConfig(), default_registry()) as server:
-        config = ClientConfig(mode="remote", address=server.address, max_queue_depth=4)
+        config = ClientConfig(mode="remote", address=server.address)
         with Client(config) as client:
             thread = threading.Thread(target=pipeline, daemon=True)
             thread.start()
@@ -826,8 +874,8 @@ def test_one_thread_may_submit_more_than_the_socket_buffers_hold():
 
 
 def test_threads_sharing_a_small_queue_lose_no_request():
-    # More threads than the queue holds: submits meet Backpressure and
-    # retry, batches mix small and >64 KiB requests, and sends stall.
+    # Eight threads share one queue: batches mix small and >64 KiB
+    # requests, submits wait on each other's sends, and sends stall.
     errors = []
 
     def worker(seed):
@@ -835,14 +883,7 @@ def test_threads_sharing_a_small_queue_lose_no_request():
         try:
             for _ in range(30):
                 data = rng.randbytes(rng.choice([16, 3000, 70_000]))
-                while True:
-                    try:
-                        instance = client.submit(
-                            FunctionId.COMPRESS, CompressParams(1), data
-                        )
-                        break
-                    except Backpressure:
-                        time.sleep(0.001)
+                instance = client.submit(FunctionId.COMPRESS, CompressParams(1), data)
                 assert codec.decompress(instance.await_result(10_000)) == data
         except Exception as exc:  # noqa: BLE001 — collected for the assert below
             errors.append(exc)
@@ -851,9 +892,7 @@ def test_threads_sharing_a_small_queue_lose_no_request():
     sys.setswitchinterval(1e-5)
     try:
         with Server(ServerConfig(), default_registry()) as server:
-            config = ClientConfig(
-                mode="remote", address=server.address, max_queue_depth=4
-            )
+            config = ClientConfig(mode="remote", address=server.address)
             with Client(config) as client:
                 threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
                 for t in threads:
@@ -861,8 +900,7 @@ def test_threads_sharing_a_small_queue_lose_no_request():
                 for t in threads:
                     t.join(60)
                 assert not any(t.is_alive() for t in threads)
-                left = (client._unwritten, client._outbox, client._pending)
-                assert left == (0, [], {})
+                assert (client._outbox, client._pending) == ([], {})
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
@@ -884,7 +922,5 @@ def test_config_validation():
         ClientConfig(mode="telepathy")
     with pytest.raises(ValueError):
         ClientConfig(timeout_ms=0)
-    with pytest.raises(ValueError):
-        ClientConfig(max_queue_depth=0)
     with pytest.raises(ValueError):
         Client(ClientConfig(mode="remote"))  # no address, no transport

@@ -331,6 +331,27 @@ def test_cli_ec_with_kills(tmp_path):
     assert out.read_bytes() == source.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--server", "nonsense", "get", "a", "o"],
+        ["--server", "127.0.0.1:port", "get", "a", "o"],
+        ["--osds", "0", "get", "a", "o"],
+        ["put", "a", "in.bin", "--transform", "ec", "--k", "0"],
+    ],
+)
+def test_cli_rejects_bad_arguments_before_touching_the_store(tmp_path, capsys, argv):
+    from msfm.miniobj import main
+
+    root = tmp_path / "store"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--root", str(root), *argv])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: msfm-obj") and "error:" in err
+    assert not root.exists()
+
+
 # --- one placement rule, generations and commit order ---------------------------
 
 STORE_KINDS = ["memory", "disk", "disk-reopened"]

@@ -18,7 +18,14 @@ from hypothesis import strategies as st
 from msfm import codec, gfec, protocol
 from msfm.client import MODE_REMOTE, Client, ClientConfig
 from msfm.protocol import Frame, FrameDecoder, FunctionId, Status
-from msfm.server import Server, ServerConfig, default_registry, dispatch
+from msfm.server import (
+    Server,
+    ServerConfig,
+    default_registry,
+    dispatch,
+    main as server_main,
+    parse_address,
+)
 
 REGISTRY = default_registry()
 
@@ -507,6 +514,31 @@ def test_config_rejects_zero_limits():
     for limit in ("max_connections", "max_frame_bytes"):
         with pytest.raises(ValueError):
             ServerConfig(**{limit: 0})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--listen", "nonsense"],
+        ["--listen", "127.0.0.1:65536"],
+        ["--listen", "127.0.0.1:"],
+        ["--max-frame-mb", "0"],
+        ["--max-connections", "0"],
+        ["--functions", "compress,frobnicate"],
+    ],
+)
+def test_server_cli_rejects_bad_arguments_with_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        server_main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: msfm-server") and "error:" in err
+
+
+def test_addresses_parse_with_a_default_host():
+    assert parse_address("10.0.0.1:9620") == ("10.0.0.1", 9620)
+    assert parse_address(":0") == ("127.0.0.1", 0)
+    assert parse_address("9620") == ("127.0.0.1", 9620)
 
 
 def test_server_cli_reports_its_port_through_a_pipe_and_stops_on_sigterm():
