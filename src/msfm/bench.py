@@ -451,34 +451,27 @@ def _drive(
     from its submit to `finished_at(submit time, manifest)`.  Failed
     puts count as errors and contribute no latency sample.
 
-    Making an operation's name and block is not timed.  With an op
-    budget every input is made before the loop starts; with a runtime
-    budget each is made before its submit.  Either way the time spent
-    making them is reported as `untimed_s` and left out of both the
-    elapsed time and the runtime budget.
+    Making an operation's name and block is not timed: each input is
+    made just before its submit, and the time spent making it is
+    reported as `untimed_s` and left out of both the elapsed time and
+    the runtime budget.
     """
     latencies: list[float] = []
     errors = 0
     pending = deque()  # (submit time, finisher) per pending put, oldest first
-    inputs = None
     index = 0
+    untimed = 0.0
     begin = now()
-    if spec.ops is not None:
-        inputs = deque(_op_input(spec, i) for i in range(spec.ops))
-    untimed = now() - begin
     while True:
-        if inputs is not None:
-            more = bool(inputs)
+        if spec.ops is not None:
+            more = index < spec.ops
         else:
             more = now() - begin - untimed < spec.runtime_s
         if more and len(pending) < spec.iodepth:
-            if inputs is not None:
-                name, block = inputs.popleft()
-            else:
-                made = now()
-                name, block = _op_input(spec, index)
-                untimed += now() - made
-                index += 1
+            made = now()
+            name, block = _op_input(spec, index)
+            untimed += now() - made
+            index += 1
             begun = now()
             try:
                 pending.append((begun, store.submit_put(name, block, policy)))

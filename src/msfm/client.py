@@ -17,8 +17,9 @@ of the threads awaiting an Instance, one at a time has the turn to
 read the connection, pairing each response to its Instance by
 correlation id regardless of arrival order; the others sleep on one
 condition until a response of theirs arrives or the reader leaves and
-one of them takes the turn.  The reader decodes every frame of a chunk in one pass and
-finishes their Instances under one lock acquisition, with one wake-up.
+one of them takes the turn.  The reader decodes every frame of a chunk
+in one pass and finishes their Instances under one lock acquisition,
+with one wake-up.
 A remote Client therefore starts no thread.  That condition's lock,
 taken directly as `_lock`, guards all of the client's shared state;
 only the send lock is separate, so that a reader can deliver responses
@@ -252,8 +253,8 @@ class Instance:
     Created sent, once its request frame is built (remote: queued, then
     written when any caller awaits or the queue reaches 64 KiB);
     exactly one of completed/failed/timed-out ends it, and the result
-    slot (payload or error) is written at most once.  await_result blocks only its
-    caller and is idempotent once terminal.
+    slot (payload or error) is written at most once.  await_result
+    blocks only its caller and is idempotent once terminal.
     """
 
     def __init__(self, client: "Client", function_id: int, correlation_id: int):
