@@ -22,6 +22,11 @@ thread of its own.  The two differ only in the clock that loop reads:
   Client on one pipelined connection.  Not deterministic; useful for
   sanity against the model.
 
+Each run yields one `BenchReport`, and `--mode both` adds one
+`ComparisonRow` per iodepth.  `--out` writes them as one JSON document,
+each record in the shape its class gives it, and is the one
+machine-readable output.
+
 Service-time coefficients are fixed, documented defaults so replays
 are reproducible; `calibrate_service_cost` measures the running
 machine's compress time instead, for sim compress runs that want model
@@ -32,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import heapq
 import json
 import math
@@ -42,7 +46,7 @@ import statistics
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 from . import codec, protocol
@@ -58,7 +62,12 @@ MODE_COMPRESSOR = "compressor"
 TRANSPORT_SIM = "sim"
 TRANSPORT_TCP = "tcp"
 
-_WORKLOADS = (WORKLOAD_RANDWRITE, WORKLOAD_WRITE)
+# Each workload's headline metric, by its report field: IOPS for random
+# writes and bandwidth for sequential ones, as each is conventionally
+# reported.  `compare` takes the ratio of it.
+_HEADLINE_METRIC = {WORKLOAD_RANDWRITE: "iops", WORKLOAD_WRITE: "bandwidth_mbps"}
+
+_WORKLOADS = tuple(_HEADLINE_METRIC)
 _MODES = (MODE_INSTANCE, MODE_COMPRESSOR)
 _TRANSPORTS = (TRANSPORT_SIM, TRANSPORT_TCP)
 _TRANSFORMS = ("none", "compress", "ec")
@@ -190,21 +199,20 @@ class BenchSpec:
         elif self.transform == "ec":
             out["k"], out["m"] = self.k, self.m
         if self.transport == TRANSPORT_SIM:
-            out["sim"] = {
-                "latency_us": self.sim.latency_us,
-                "bandwidth_mbps": self.sim.bandwidth_mbps,
-                "server_workers": self.sim.server_workers,
-                "local_workers": self.sim.local_workers,
-                "service_fixed_us": self.sim.service_fixed_us,
-                "service_us_per_byte": self.sim.service_us_per_byte,
-                "client_overhead_us": self.sim.client_overhead_us,
-            }
+            out["sim"] = asdict(self.sim)
         return out
 
 
 @dataclass(frozen=True)
 class BenchReport:
-    """Results of one run; all latencies in microseconds."""
+    """Results of one run, in the shape `to_dict` writes them.
+
+    `latency_us` summarizes the completed puts' latencies in
+    microseconds under the keys min, mean, p50, p95, p99 and max; a run
+    with none reads zeros.  `untimed_s` is the time spent making inputs,
+    left out of `elapsed_s`; the report leaves it out under sim, whose
+    virtual clock does not move while inputs are made.
+    """
 
     spec: BenchSpec
     completed: int
@@ -212,59 +220,30 @@ class BenchReport:
     elapsed_s: float
     iops: float
     bandwidth_mbps: float
-    lat_min_us: float
-    lat_mean_us: float
-    lat_p50_us: float
-    lat_p95_us: float
-    lat_p99_us: float
-    lat_max_us: float
+    latency_us: dict[str, float]
     raw_bytes: int
     stored_bytes: int
     untimed_s: float
 
-    def metric(self) -> float:
-        """The headline number for this spec's workload.
-
-        IOPS for randwrite, bandwidth for sequential write — matching
-        how each workload is conventionally reported.
-        """
-        if self.spec.workload == WORKLOAD_RANDWRITE:
-            return self.iops
-        return self.bandwidth_mbps
-
     def to_dict(self) -> dict:
-        out = {
-            "spec": self.spec.to_dict(),
-            "completed": self.completed,
-            "errors": self.errors,
-            "elapsed_s": self.elapsed_s,
-            "iops": self.iops,
-            "bandwidth_mbps": self.bandwidth_mbps,
-            "latency_us": {
-                "min": self.lat_min_us,
-                "mean": self.lat_mean_us,
-                "p50": self.lat_p50_us,
-                "p95": self.lat_p95_us,
-                "p99": self.lat_p99_us,
-                "max": self.lat_max_us,
-            },
-            "raw_bytes": self.raw_bytes,
-            "stored_bytes": self.stored_bytes,
-        }
-        # A virtual clock does not move while inputs are made.
-        if self.spec.transport == TRANSPORT_TCP:
-            out["untimed_s"] = self.untimed_s
+        out = {**vars(self), "spec": self.spec.to_dict()}
+        if self.spec.transport != TRANSPORT_TCP:
+            del out["untimed_s"]
         return out
 
 
 @dataclass(frozen=True)
 class ComparisonRow:
-    """One iodepth's head-to-head result: ratio = a / b."""
+    """One iodepth's head-to-head result, named as `--out` writes it.
+
+    `compare(a, b)` puts a's headline metric under `instance` and b's
+    under `compressor`, as `--mode both` runs them; ratio = a / b.
+    """
 
     iodepth: int
     metric: str
-    a_value: float
-    b_value: float
+    instance: float
+    compressor: float
     ratio: float
 
 
@@ -372,18 +351,7 @@ def _finish(
     completed = len(latencies_s)
     iops = completed / elapsed_s if elapsed_s > 0 else 0.0
     bandwidth = iops * spec.block_size / 1e6
-    if latencies_s:
-        us = sorted(lat * 1e6 for lat in latencies_s)
-        lat = {
-            "min": us[0],
-            "mean": statistics.fmean(us),
-            "p50": _percentile(us, 0.50),
-            "p95": _percentile(us, 0.95),
-            "p99": _percentile(us, 0.99),
-            "max": us[-1],
-        }
-    else:
-        lat = {"min": 0.0, "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}
+    us = sorted(lat * 1e6 for lat in latencies_s) or [0.0]  # no put: all zeros
     return BenchReport(
         spec=spec,
         completed=completed,
@@ -391,12 +359,14 @@ def _finish(
         elapsed_s=elapsed_s,
         iops=iops,
         bandwidth_mbps=bandwidth,
-        lat_min_us=lat["min"],
-        lat_mean_us=lat["mean"],
-        lat_p50_us=lat["p50"],
-        lat_p95_us=lat["p95"],
-        lat_p99_us=lat["p99"],
-        lat_max_us=lat["max"],
+        latency_us={
+            "min": us[0],
+            "mean": statistics.fmean(us),
+            "p50": _percentile(us, 0.50),
+            "p95": _percentile(us, 0.95),
+            "p99": _percentile(us, 0.99),
+            "max": us[-1],
+        },
         raw_bytes=stats.raw_bytes,
         stored_bytes=stats.stored_bytes,
         untimed_s=untimed_s,
@@ -603,17 +573,12 @@ def compare(
             or left.spec.block_size != right.spec.block_size
         ):
             raise InvalidComparison("workload or block size differs between sweeps")
-        if right.metric() == 0:
+        metric = _HEADLINE_METRIC[left.spec.workload]
+        mine, theirs = getattr(left, metric), getattr(right, metric)
+        if theirs == 0:
             raise InvalidComparison("denominator metric is zero")
-        name = "iops" if left.spec.workload == WORKLOAD_RANDWRITE else "bandwidth_mbps"
         rows.append(
-            ComparisonRow(
-                iodepth=left.spec.iodepth,
-                metric=name,
-                a_value=left.metric(),
-                b_value=right.metric(),
-                ratio=left.metric() / right.metric(),
-            )
+            ComparisonRow(left.spec.iodepth, metric, mine, theirs, mine / theirs)
         )
     return rows
 
@@ -668,11 +633,10 @@ def render_table(reports: list[BenchReport]) -> str:
             f"{report.elapsed_s:.3f}",
             f"{report.iops:.1f}",
             f"{report.bandwidth_mbps:.2f}",
-            f"{report.lat_mean_us:.1f}",
-            f"{report.lat_p50_us:.1f}",
-            f"{report.lat_p95_us:.1f}",
-            f"{report.lat_p99_us:.1f}",
-            f"{report.lat_max_us:.1f}",
+            *(
+                f"{report.latency_us[key]:.1f}"
+                for key in ("mean", "p50", "p95", "p99", "max")
+            ),
         ))
     widths = [max(len(row[col]) for row in rows) for col in range(len(headers))]
     lines = [
@@ -686,7 +650,7 @@ def render_comparison(rows: list[ComparisonRow]) -> str:
     lines = [f"{'iodepth':>7}  {'instance':>12}  {'compressor':>12}  {'ratio':>6}"]
     for row in rows:
         lines.append(
-            f"{row.iodepth:>7}  {row.a_value:>12.1f}  {row.b_value:>12.1f}"
+            f"{row.iodepth:>7}  {row.instance:>12.1f}  {row.compressor:>12.1f}"
             f"  {row.ratio:>6.3f}"
         )
     return "\n".join(lines)
@@ -702,29 +666,6 @@ def render_reference() -> str:
     for depth, (instance, compressor) in REFERENCE_WRITE_64K_MBPS.items():
         out.append(f"{depth:>7}  {instance:>12.1f}  {compressor:>12.1f}")
     return "\n".join(out)
-
-
-def write_csv(reports: list[BenchReport], path: str) -> None:
-    fields = (
-        "workload", "mode", "transport", "block_size", "iodepth",
-        "completed", "errors", "elapsed_s", "iops", "bandwidth_mbps",
-        "lat_min_us", "lat_mean_us", "lat_p50_us", "lat_p95_us",
-        "lat_p99_us", "lat_max_us", "raw_bytes", "stored_bytes",
-    )
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(fields)
-        for report in reports:
-            writer.writerow((
-                report.spec.workload, report.spec.mode, report.spec.transport,
-                report.spec.block_size, report.spec.iodepth,
-                report.completed, report.errors, f"{report.elapsed_s:.6f}",
-                f"{report.iops:.3f}", f"{report.bandwidth_mbps:.4f}",
-                f"{report.lat_min_us:.2f}", f"{report.lat_mean_us:.2f}",
-                f"{report.lat_p50_us:.2f}", f"{report.lat_p95_us:.2f}",
-                f"{report.lat_p99_us:.2f}", f"{report.lat_max_us:.2f}",
-                report.raw_bytes, report.stored_bytes,
-            ))
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +735,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sim-bw-mbps", type=float, default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="write the JSON report here")
-    parser.add_argument("--csv", default=None, help="write a CSV of all rows here")
     parser.add_argument(
         "--paper-reference", action="store_true",
         help="append the published reference measurements to the output",
@@ -870,21 +810,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.out:
         document = {"reports": [report.to_dict() for report in reports]}
         if comparison is not None:
-            document["comparison"] = [
-                {
-                    "iodepth": row.iodepth,
-                    "metric": row.metric,
-                    "instance": row.a_value,
-                    "compressor": row.b_value,
-                    "ratio": row.ratio,
-                }
-                for row in comparison
-            ]
+            document["comparison"] = [asdict(row) for row in comparison]
         with open(args.out, "w") as handle:
             json.dump(document, handle, indent=2, sort_keys=True)
             handle.write("\n")
-    if args.csv:
-        write_csv(reports, args.csv)
     return 0
 
 

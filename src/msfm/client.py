@@ -260,7 +260,6 @@ class Instance:
     def __init__(self, client: "Client", function_id: int, correlation_id: int):
         self.function_id = function_id
         self.correlation_id = correlation_id
-        self.submitted_at = client._clock.now()
         self._client = client
         self._state = _SENT
         self._payload: bytes | None = None

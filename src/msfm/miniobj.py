@@ -66,7 +66,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from . import codec as codec_mod
-from .client import Client, ClientConfig
+from .client import Client, ClientConfig, ClientError
 from .gfec import code_fits
 from .protocol import (
     CompressParams,
@@ -286,7 +286,6 @@ class OsdTarget:
 @dataclass
 class StoreStats:
     puts: int = 0
-    gets: int = 0
     raw_bytes: int = 0
     stored_bytes: int = 0
 
@@ -377,6 +376,8 @@ class ObjectStore:
     def put(self, name: str, data: bytes, policy: ObjectPolicy) -> ObjectManifest:
         """Transform and store one object, replacing any previous version.
 
+        This is `submit_put` with its finisher called at once.
+
         Plans first: the n target OSDs (one blob, or k+m for EC) and a
         fresh generation g.  Then runs the transform, writes blob i under
         `name/g/i`, commits the new manifest, and deletes the blobs of
@@ -393,9 +394,7 @@ class ObjectStore:
             NotFound: A target OSD went down during the put.
             OSError: A disk-backed blob or manifest write failed.
         """
-        request, complete = self._plan_put(name, data, policy)
-        client = policy.client or self._local
-        return complete(client.call(*request) if request else data)
+        return self.submit_put(name, data, policy)()
 
     def submit_put(
         self, name: str, data: bytes, policy: ObjectPolicy
@@ -403,8 +402,8 @@ class ObjectStore:
         """Plan a put and submit its transform call; return its finisher.
 
         The put is pending until the returned function is called: that
-        awaits the transform, then writes, commits and deletes exactly as
-        `put` does, and returns the manifest.  Many puts may be pending on
+        awaits the transform, then writes, commits and deletes as `put`
+        describes, and returns the manifest.  Many puts may be pending on
         one client at once.  Of two pending puts of one name, the last to
         finish wins, even if it was submitted first: its manifest becomes
         current and the other's blobs are deleted.
@@ -414,22 +413,6 @@ class ObjectStore:
                 raised before the transform call is submitted.
             ClientError subtypes: The call could not be submitted.  The
                 finisher raises what `put` raises after its transform call.
-        """
-        request, complete = self._plan_put(name, data, policy)
-        if request is None:
-            return lambda: complete(data)
-        instance = (policy.client or self._local).submit(*request)
-        return lambda: complete(instance.await_result())
-
-    def _plan_put(
-        self, name: str, data: bytes, policy: ObjectPolicy
-    ) -> tuple[tuple | None, Callable[[bytes], ObjectManifest]]:
-        """Plan one put: its targets, a fresh generation, its transform.
-
-        Returns the transform request as `Client.call` arguments (None
-        for `none`) and the step that completes the put from the
-        transform's output: slice it into blobs, write them, commit the
-        manifest, delete the replaced blobs and count the put.
         """
         if not name:
             raise ValueError("object name must be nonempty")
@@ -496,7 +479,10 @@ class ObjectStore:
                 self.stats.stored_bytes += sum(p.length for p in placements)
             return manifest
 
-        return request, complete
+        if request is None:
+            return lambda: complete(data)
+        instance = (policy.client or self._local).submit(*request)
+        return lambda: complete(instance.await_result())
 
     def get(self, name: str, client: Client | None = None) -> bytes:
         """Read an object back, reversing its transform.
@@ -520,8 +506,6 @@ class ObjectStore:
         """
         manifest = self.manifest(name)
         client = client or self._local
-        with self._lock:
-            self.stats.gets += 1
         blobs, present = self._read_blobs(manifest)
         if len(blobs) < manifest.transform.get("k", 1):
             # A put that committed since the lookup deletes the blobs it
@@ -599,23 +583,22 @@ def main(argv: list[str] | None = None) -> int:
     p_rev.add_argument("id", type=int)
 
     args = parser.parse_args(argv)
-    # The store checks its OSD count before it creates any directory.
-    try:
-        policy = ObjectPolicy.none()
-        if args.command == "put" and args.transform == "ec":
-            policy = ObjectPolicy.ec(args.k, args.m)
-        elif args.command == "put" and args.transform != "none":
-            policy = ObjectPolicy.compress(codec_mod.CODEC_NAMES[args.transform])
-        store = ObjectStore(osd_count=args.osds, root=args.root)
-    except ValueError as exc:
-        parser.error(str(exc))
-
     client = None
-    if args.server:
-        client = Client(ClientConfig(mode="remote", address=args.server))
-        policy = replace(policy, client=client)
-
     try:
+        # Arguments are checked, and the server connected, before the
+        # store creates any directory.
+        try:
+            policy = ObjectPolicy.none()
+            if args.command == "put" and args.transform == "ec":
+                policy = ObjectPolicy.ec(args.k, args.m)
+            elif args.command == "put" and args.transform != "none":
+                policy = ObjectPolicy.compress(codec_mod.CODEC_NAMES[args.transform])
+            if args.server:
+                client = Client(ClientConfig(mode="remote", address=args.server))
+                policy = replace(policy, client=client)
+            store = ObjectStore(osd_count=args.osds, root=args.root)
+        except ValueError as exc:
+            parser.error(str(exc))
         if args.command == "put":
             data = (
                 sys.stdin.buffer.read()
@@ -641,7 +624,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             store.revive_osd(args.id)
             print(f"osd {args.id} is up")
-    except StoreError as exc:
+    except (StoreError, ClientError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -166,28 +166,23 @@ def test_ec_transform_stores_parity_overhead():
 
 
 def test_latency_summary_is_ordered():
-    report = run(sim_spec(iodepth=16, ops=400))
-    assert (
-        report.lat_min_us
-        <= report.lat_p50_us
-        <= report.lat_p95_us
-        <= report.lat_p99_us
-        <= report.lat_max_us
-    )
-    assert report.lat_min_us <= report.lat_mean_us <= report.lat_max_us
+    latency = run(sim_spec(iodepth=16, ops=400)).latency_us
+    assert latency["min"] <= latency["p50"] <= latency["p95"] <= latency["p99"]
+    assert latency["p99"] <= latency["max"]
+    assert latency["min"] <= latency["mean"] <= latency["max"]
 
 
 def test_concurrency_never_exceeds_iodepth():
     # Little's law: mean in-flight = sum(latency) / elapsed <= iodepth.
     for depth in (1, 3, 16):
         report = run(sim_spec(iodepth=depth, ops=300))
-        total_lat_s = report.lat_mean_us * report.completed / 1e6
+        total_lat_s = report.latency_us["mean"] * report.completed / 1e6
         assert total_lat_s <= report.elapsed_s * depth * 1.0001
 
 
 def test_iodepth_one_is_strictly_sequential():
     report = run(sim_spec(iodepth=1, ops=100))
-    total_lat_s = report.lat_mean_us * report.completed / 1e6
+    total_lat_s = report.latency_us["mean"] * report.completed / 1e6
     assert total_lat_s == pytest.approx(report.elapsed_s, rel=1e-9)
 
 
@@ -208,8 +203,9 @@ def test_a_none_put_costs_only_the_client_overhead(iodepth):
     )
     assert {**vars(inst), "spec": None} == {**vars(comp), "spec": None}
     overhead = inst.spec.sim.client_overhead_us
-    for latency in (inst.lat_min_us, inst.lat_max_us, comp.lat_min_us, comp.lat_max_us):
-        assert latency == pytest.approx(overhead)
+    for report in (inst, comp):
+        for key in ("min", "max"):
+            assert report.latency_us[key] == pytest.approx(overhead)
 
 
 def test_runtime_budget_stops_issue_but_drains():
@@ -445,7 +441,7 @@ def test_tcp_latency_excludes_block_generation(monkeypatch):
     monkeypatch.setattr(bench, "_fill_block", slow_fill_block)
     report = bench._run_tcp(BenchSpec(block_size=4096, ops=5, transport="tcp", seed=3))
     assert report.completed == 5
-    assert report.lat_p50_us < 20_000
+    assert report.latency_us["p50"] < 20_000
 
 
 @pytest.mark.parametrize("mode", ["instance", "compressor"])
@@ -514,7 +510,7 @@ def test_making_inputs_is_left_out_of_the_timed_window(monkeypatch, budget):
     assert report.completed == 10
     assert report.elapsed_s == pytest.approx(0.010)
     assert report.iops == pytest.approx(1000.0)
-    assert report.lat_mean_us == pytest.approx(1000.0)
+    assert report.latency_us["mean"] == pytest.approx(1000.0)
     assert report.untimed_s == pytest.approx(10.0)
     assert report.to_dict()["untimed_s"] == report.untimed_s
 
@@ -530,6 +526,44 @@ def test_report_serializes_to_json():
     assert document["spec"]["codec"] == "rle0"
     assert set(document["latency_us"]) == {"min", "mean", "p50", "p95", "p99", "max"}
     assert "untimed_s" not in document  # tcp reports only
+
+
+# The keys of each record that --out writes, which CI and users read.
+SPEC_KEYS = {
+    "workload", "block_size", "iodepth", "mode", "transform", "ops",
+    "runtime_s", "zero_fraction", "transport", "seed", "sim",
+}
+SIM_KEYS = {
+    "latency_us", "bandwidth_mbps", "server_workers", "local_workers",
+    "service_fixed_us", "service_us_per_byte", "client_overhead_us",
+}
+
+
+@pytest.mark.parametrize(
+    "transform, extra",
+    [("compress", {"codec"}), ("ec", {"k", "m"}), ("none", set())],
+)
+def test_spec_dict_has_exactly_its_keys(transform, extra):
+    document = sim_spec(transform=transform).to_dict()
+    assert set(document) == SPEC_KEYS | extra
+    assert set(document["sim"]) == SIM_KEYS
+
+
+def test_report_dict_has_exactly_its_keys():
+    assert set(run(sim_spec(ops=20)).to_dict()) == {
+        "spec", "completed", "errors", "elapsed_s", "iops", "bandwidth_mbps",
+        "latency_us", "raw_bytes", "stored_bytes",
+    }
+
+
+def test_comparison_rows_have_exactly_their_keys(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    argv = ["--mode", "both", "--iodepth", "1,4", "--ops", "20", "--out", str(out)]
+    assert bench.main(argv) == 0
+    rows = json.loads(out.read_text())["comparison"]
+    assert [set(row) for row in rows] == [
+        {"iodepth", "metric", "instance", "compressor", "ratio"}
+    ] * 2
 
 
 def test_render_table_aligns_all_rows():
@@ -552,12 +586,11 @@ def test_reference_tables_cover_the_published_grid():
 
 def test_cli_sweep_with_outputs(tmp_path, capsys):
     out = tmp_path / "report.json"
-    table = tmp_path / "rows.csv"
     rc = bench.main(
         [
             "--workload", "write", "--bs", "64k", "--iodepth", "1,8",
             "--mode", "both", "--ops", "60", "--seed", "5",
-            "--out", str(out), "--csv", str(table), "--paper-reference",
+            "--out", str(out), "--paper-reference",
         ]
     )
     assert rc == 0
@@ -569,10 +602,6 @@ def test_cli_sweep_with_outputs(tmp_path, capsys):
     assert len(document["reports"]) == 4
     assert len(document["comparison"]) == 2
     assert document["comparison"][0]["ratio"] < document["comparison"][1]["ratio"]
-
-    rows = table.read_text().splitlines()
-    assert rows[0].startswith("workload,mode,transport")
-    assert len(rows) == 5
 
 
 def test_cli_rejects_bad_spec(capsys):

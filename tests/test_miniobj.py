@@ -199,9 +199,9 @@ def test_every_call_sends_its_functions_params_type():
     calls = []
 
     class RecordingClient(Client):
-        def call(self, function_id, params, payload=b"", timeout_ms=None):
+        def submit(self, function_id, params, payload=b""):
             calls.append((function_id, type(params)))
-            return super().call(function_id, params, payload, timeout_ms)
+            return super().submit(function_id, params, payload)
 
     store = ObjectStore(osd_count=6)
     with RecordingClient(ClientConfig(mode="in-process")) as client:
@@ -352,6 +352,31 @@ def test_cli_rejects_bad_arguments_before_touching_the_store(tmp_path, capsys, a
     assert not root.exists()
 
 
+def test_cli_reports_an_unreachable_server_before_touching_the_store(tmp_path, capsys):
+    from msfm.miniobj import main
+
+    root = tmp_path / "store"
+    # Nothing listens on port 1, so the connect is refused.
+    assert main(["--root", str(root), "--server", "127.0.0.1:1", "get", "a", "o"]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot connect")
+    assert not root.exists()
+
+
+@pytest.mark.parametrize("command", ["put", "get"])
+def test_cli_reports_a_file_it_cannot_open(tmp_path, capsys, command):
+    from msfm.miniobj import main
+
+    store = ["--root", str(tmp_path / "store")]
+    source = tmp_path / "in.bin"
+    source.write_bytes(b"data")
+    assert main([*store, "put", "a", str(source)]) == 0
+    capsys.readouterr()
+    missing = str(tmp_path / "nonexistent" / "file")
+    assert main([*store, command, "a", missing]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and missing in err
+
+
 # --- one placement rule, generations and commit order ---------------------------
 
 STORE_KINDS = ["memory", "disk", "disk-reopened"]
@@ -412,9 +437,9 @@ def test_placement_error_comes_before_any_transform_call():
     calls = []
 
     class CountingClient(Client):
-        def call(self, function_id, params, payload=b"", timeout_ms=None):
+        def submit(self, function_id, params, payload=b""):
             calls.append(function_id)
-            return super().call(function_id, params, payload, timeout_ms)
+            return super().submit(function_id, params, payload)
 
     store = ObjectStore(osd_count=5)
     with CountingClient(ClientConfig(mode="in-process")) as client:
