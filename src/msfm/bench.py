@@ -80,7 +80,9 @@ _NAME_POOL = 4096
 # seed s+i (sweeps derive seeds by small offsets).
 _SEED_STRIDE = 0x9E3779B1
 
-_CODEC_NAME_BY_ID = {codec_id: name for name, codec_id in codec.CODEC_NAMES.items()}
+# The stored form is what compress falls back to, not a codec to ask for.
+_CODEC_BY_NAME = {"rle0": codec.CODEC_RLE0, "lz": codec.CODEC_LZ}
+_CODEC_NAME_BY_ID = {codec_id: name for name, codec_id in _CODEC_BY_NAME.items()}
 
 
 class BenchError(Exception):
@@ -301,7 +303,7 @@ def _policy_for(spec: BenchSpec, client: Client | None) -> ObjectPolicy:
         return ObjectPolicy.compress(spec.codec_id, client=client)
     if spec.transform == "ec":
         return ObjectPolicy.ec(spec.k, spec.m, client=client)
-    return ObjectPolicy.none(client=client)
+    return ObjectPolicy(client=client)
 
 
 def _build_store(spec: BenchSpec) -> ObjectStore:
@@ -698,9 +700,6 @@ def _parse_iodepths(text: str) -> list[int]:
     if not depths or any(depth < 1 for depth in depths):
         raise argparse.ArgumentTypeError("iodepths must be positive integers")
     return depths
-
-
-_CODEC_BY_NAME = codec.CODEC_NAMES
 
 
 def main(argv: list[str] | None = None) -> int:

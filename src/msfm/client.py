@@ -45,8 +45,9 @@ queue holds at most 64 KiB plus one request per submitting thread.  A
 response that arrives after its Instance timed out is discarded.  A
 transport failure fails every in-flight Instance with TransportError,
 queued ones included, and close() fails them with ClientClosed without
-sending them; the client does not reconnect mid-stream (a failed
-initial connect is retried with backoff; failover is out of scope).
+sending them.  A failed connect raises TransportError at once: the
+client neither retries a connect nor reconnects (failover is out of
+scope).
 """
 
 from __future__ import annotations
@@ -119,9 +120,9 @@ def error_for_status(status: int, detail: str) -> RemoteError:
 
 
 class Clock:
-    """Time source for deadlines and connect backoff; swap out in tests.
+    """Time source for deadlines; swap out in tests.
 
-    Awaits do not sleep through the clock: they block in the
+    Nothing sleeps through the clock: an await blocks in the
     transport's `recv` or on the client's condition, each bounded by
     the time left before the deadline that `now` measures.
     """
@@ -129,8 +130,9 @@ class Clock:
     def now(self) -> float:
         return time.monotonic()
 
-    def sleep(self, seconds: float) -> None:
-        time.sleep(seconds)
+
+# How long a connect may take before it fails.
+_CONNECT_TIMEOUT_S = 5.0
 
 
 class Transport:
@@ -159,8 +161,8 @@ class Transport:
 
 
 class TcpTransport(Transport):
-    def __init__(self, host: str, port: int, connect_timeout: float = 5.0):
-        self._sock = socket.create_connection((host, port), timeout=connect_timeout)
+    def __init__(self, host: str, port: int):
+        self._sock = socket.create_connection((host, port), timeout=_CONNECT_TIMEOUT_S)
         # No socket timeout: recv bounds its own wait in poll, and a send
         # may take as long as the server needs to read the request.
         self._sock.settimeout(None)
@@ -207,10 +209,6 @@ MODE_REMOTE = "remote"
 MODE_IN_PROCESS = "in-process"
 
 _U32_MAX = 0xFFFFFFFF
-
-# A failed connect is retried this often, after 50 ms, then 100 ms, ...
-_CONNECT_RETRIES = 2
-_BACKOFF_BASE_MS = 50.0
 
 # Queued requests go out once they reach this size, awaited or not, so
 # a 64 KiB request leaves at submit and one send joins little more.
@@ -375,14 +373,10 @@ class Client:
         if self.config.address is None:
             raise ValueError("remote mode needs an address or an explicit transport")
         host, port = self.config.address
-        last: Exception | None = None
-        for attempt in range(_CONNECT_RETRIES + 1):
-            try:
-                return TcpTransport(host, port)
-            except OSError as exc:
-                last = exc
-                self._clock.sleep(_BACKOFF_BASE_MS * (2**attempt) / 1000.0)
-        raise TransportError(f"cannot connect to {host}:{port}: {last}")
+        try:
+            return TcpTransport(host, port)
+        except OSError as exc:
+            raise TransportError(f"cannot connect to {host}:{port}: {exc}") from None
 
     # --- public API ---------------------------------------------------------
 

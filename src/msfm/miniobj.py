@@ -41,8 +41,8 @@ only then deletes the blobs of the manifest it replaced.  Hence:
 
 Each object's manifest records everything `get` needs (transform, raw
 length, padding, generation, per-blob placement); there is no other
-metadata.  Manifests serialize to canonical JSON — sorted keys,
-two-space indent — so equal manifests have equal encodings.
+metadata.  Manifests serialize to compact canonical JSON — sorted
+keys, no whitespace — so equal manifests have equal encodings.
 
 OSD targets hold an in-memory map by default, or a directory of files
 (keys percent-encoded) when the store is rooted on disk; a `.down`
@@ -121,8 +121,8 @@ class ObjectPolicy:
             raise ValueError(f"invalid ec parameters k={self.k} m={self.m}")
 
     @staticmethod
-    def none(client: Client | None = None) -> "ObjectPolicy":
-        return ObjectPolicy(transform=TRANSFORM_NONE, client=client)
+    def none() -> "ObjectPolicy":
+        return ObjectPolicy(transform=TRANSFORM_NONE)
 
     @staticmethod
     def compress(
@@ -155,11 +155,10 @@ class ObjectManifest:
     shard_size: int = 0
     padding: int = 0
     generation: int = 0
-    version: int = MANIFEST_VERSION
 
     def to_json(self) -> str:
         record = {
-            "version": self.version,
+            "version": MANIFEST_VERSION,
             "name": self.name,
             "raw_len": self.raw_len,
             "transform": self.transform,
@@ -171,7 +170,7 @@ class ObjectManifest:
                 for p in self.placements
             ],
         }
-        return json.dumps(record, sort_keys=True, indent=2) + "\n"
+        return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ObjectManifest":
@@ -285,7 +284,6 @@ class OsdTarget:
 
 @dataclass
 class StoreStats:
-    puts: int = 0
     raw_bytes: int = 0
     stored_bytes: int = 0
 
@@ -474,7 +472,6 @@ class ObjectStore:
                 kept = {p.key for p in placements}
                 self._discard(p for p in replaced.placements if p.key not in kept)
             with self._lock:
-                self.stats.puts += 1
                 self.stats.raw_bytes += len(data)
                 self.stats.stored_bytes += sum(p.length for p in placements)
             return manifest
@@ -543,6 +540,12 @@ class ObjectStore:
         return blobs, present
 
 
+def _object_name(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("object name must be nonempty")
+    return text
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="msfm-obj", description="Poke at a directory-backed object store."
@@ -562,7 +565,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_put = sub.add_parser("put", help="store a file as an object")
-    p_put.add_argument("name")
+    p_put.add_argument("name", type=_object_name)
     p_put.add_argument("file", help="input path, or - for stdin")
     p_put.add_argument(
         "--transform",
@@ -574,7 +577,7 @@ def main(argv: list[str] | None = None) -> int:
     p_put.add_argument("--m", type=int, default=2)
 
     p_get = sub.add_parser("get", help="read an object back")
-    p_get.add_argument("name")
+    p_get.add_argument("name", type=_object_name)
     p_get.add_argument("out", help="output path, or - for stdout")
 
     p_kill = sub.add_parser("kill-osd", help="mark an OSD dead")

@@ -267,10 +267,10 @@ class FrameDecoder:
     """Incremental decoder for a byte stream of concatenated frames.
 
     Feed arbitrary chunks with `feed`; take every completed frame at
-    once with `frames`, or one at a time with `next_frame`.  Both run
-    one parse loop over one view of the buffer and compact it once.  A
-    bad frame raises; the frames decoded before it are returned first,
-    and the bad frame stays at the head, so the next call raises.
+    once with `frames`, which runs one parse loop over one view of the
+    buffer and compacts it once.  A bad frame raises; the frames decoded
+    before it are returned first, and the bad frame stays at the head,
+    so the next call raises.
     Decoding the concatenation of N encoded frames, however it is
     chunked, yields exactly those N frames in order.
     """
@@ -288,15 +288,6 @@ class FrameDecoder:
 
     def frames(self) -> list[Frame]:
         """Every complete frame buffered, in order; [] while none is."""
-        return self._parse(-1)
-
-    def next_frame(self) -> Frame | None:
-        """The next complete frame, or None while only a prefix is buffered."""
-        frames = self._parse(1)
-        return frames[0] if frames else None
-
-    def _parse(self, most: int) -> list[Frame]:
-        """Decode up to `most` frames (all if negative) from the buffer."""
         buf, max_body = self._buf, self._max_body
         out: list[Frame] = []
         start = 0
@@ -304,7 +295,7 @@ class FrameDecoder:
         # buffer could not be resized while the traceback lives.
         with memoryview(buf) as view:
             try:
-                while len(out) != most:
+                while True:
                     # Reject garbage before buffering up to a bogus
                     # declared length.
                     header = _parse_header(view, max_body, start)

@@ -305,7 +305,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--max-frame-mb", type=int, default=64, metavar="N")
     parser.add_argument("--max-connections", type=int, default=64, metavar="N")
-    parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args(argv)
     host, port = args.listen
     try:
@@ -320,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))
 
     logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
+        level=logging.INFO,
         format="%(asctime)s %(levelname)s %(name)s: %(message)s",
     )
     server = Server(config, registry)

@@ -59,7 +59,7 @@ class LoopbackTransport(Transport):
         if self._closed:
             raise OSError("transport closed")
         self._decoder.feed(data)
-        while (frame := self._decoder.next_frame()) is not None:
+        for frame in self._decoder.frames():
             if not self._drop_all:
                 delay = self._latency + self._rng.uniform(0, self._jitter)
                 self._pool.submit(self._serve, frame, delay)
@@ -128,7 +128,7 @@ class JitterTransport(TcpTransport):
             return
         self._decoder.feed(chunk)
         now = time.monotonic()
-        while (frame := self._decoder.next_frame()) is not None:
+        for frame in self._decoder.frames():
             due = now + self._rng.uniform(0, self._jitter)
             entry = (due, next(self._arrivals), protocol.encode_frame(frame))
             heapq.heappush(self._held, entry)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msfm import bench
+from msfm import bench, codec
 from msfm.bench import (
     BenchSpec,
     ComparisonRow,
@@ -47,6 +47,11 @@ def sim_spec(**overrides) -> BenchSpec:
 
 # ---------------------------------------------------------------------------
 # Spec validation
+
+
+def test_stored_codec_is_rejected():
+    with pytest.raises(InvalidSpec):
+        sim_spec(transform="compress", codec_id=codec.CODEC_STORED)
 
 
 def test_zero_op_count_is_rejected():
@@ -608,6 +613,35 @@ def test_cli_rejects_bad_spec(capsys):
     rc = bench.main(["--ops", "0"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_offers_no_stored_codec(capsys):
+    # compress refuses the stored form, so every put would fail.
+    with pytest.raises(SystemExit) as exited:
+        bench.main(["--codec", "stored", "--ops", "5"])
+    assert exited.value.code == 2
+    assert "invalid choice: 'stored'" in capsys.readouterr().err
+
+
+def test_cli_sim_link_flags_reach_the_model(tmp_path):
+    # At iodepth 1 nothing queues: each instance-mode put crosses the
+    # link twice, and a compressor-mode put never crosses it.
+    def means(*flags):
+        out = tmp_path / "report.json"
+        argv = ["--mode", "both", "--ops", "50", "--sim-bw-mbps", "50", *flags]
+        assert bench.main([*argv, "--out", str(out)]) == 0
+        reports = json.loads(out.read_text())["reports"]
+        for report in reports:
+            assert report["spec"]["sim"]["bandwidth_mbps"] == 50.0
+        return reports, {
+            report["spec"]["mode"]: report["latency_us"]["mean"] for report in reports
+        }
+
+    _, base = means()
+    reports, slow = means("--sim-latency-us", "1000")
+    assert [report["spec"]["sim"]["latency_us"] for report in reports] == [1000.0] * 2
+    assert slow["instance"] - base["instance"] == pytest.approx(2 * 800.0, abs=1e-6)
+    assert slow["compressor"] == base["compressor"]
 
 
 @pytest.mark.parametrize(

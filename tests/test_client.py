@@ -39,16 +39,13 @@ def loopback_client(transport=None, clock=None, **overrides) -> Client:
 
 
 class SteppingClock(Clock):
-    """Virtual clock: sleep() never sleeps, it just advances time."""
+    """Virtual clock: time moves only when a test advances `t`."""
 
     def __init__(self):
         self.t = 0.0
 
     def now(self):
         return self.t
-
-    def sleep(self, seconds):
-        self.t += seconds
 
 
 class SilentTransport(Transport):
@@ -103,7 +100,7 @@ class RecordingTransport(LoopbackTransport):
         """The frames that send number `index` carried, in order."""
         decoder = protocol.FrameDecoder()
         decoder.feed(self.sends[index])
-        return list(iter(decoder.next_frame, None))
+        return decoder.frames()
 
 
 class WaitSignallingCondition(threading.Condition):
@@ -913,6 +910,24 @@ def test_tcp_connect_failure_raises_transport_error():
     )
     with pytest.raises(TransportError):
         Client(config)
+
+
+def test_a_refused_connect_is_tried_once_without_sleeping(monkeypatch):
+    from msfm import client as client_module
+
+    attempts = []
+
+    def refused(host, port):
+        attempts.append((host, port))
+        raise ConnectionRefusedError("refused")
+
+    monkeypatch.setattr(client_module, "TcpTransport", refused)
+    clock = SteppingClock()
+    config = ClientConfig(mode="remote", address=("127.0.0.1", 9))
+    with pytest.raises(TransportError, match="cannot connect to 127.0.0.1:9: refused"):
+        Client(config, clock=clock)
+    assert attempts == [("127.0.0.1", 9)]
+    assert clock.t == 0.0
 
 
 # --- config validation ---------------------------------------------------------

@@ -224,8 +224,7 @@ def test_stream_decoder_yields_frames_regardless_of_chunking(frame_list, chunk):
     out = []
     for i in range(0, len(stream), chunk):
         dec.feed(stream[i : i + chunk])
-        while (f := dec.next_frame()) is not None:
-            out.append(f)
+        out += dec.frames()
     assert out == frame_list
     assert dec.buffered == 0
 
@@ -233,23 +232,9 @@ def test_stream_decoder_yields_frames_regardless_of_chunking(frame_list, chunk):
 def test_stream_decoder_raises_on_bad_head_after_good_frames():
     dec = p.FrameDecoder()
     dec.feed(p.encode_frame(REQUEST) + b"GARBAGE-NOT-A-FRAME")
-    assert dec.next_frame() == REQUEST
+    assert dec.frames() == [REQUEST]
     with pytest.raises(p.MalformedFrame):
-        dec.next_frame()
-
-
-def test_stream_decoder_takes_more_bytes_while_a_checksum_error_is_held():
-    # The frame is checked through views of the decoder's buffer; the
-    # caught error's traceback must not keep the buffer from growing.
-    enc = bytearray(p.encode_frame(REQUEST))
-    enc[-1] ^= 1
-    dec = p.FrameDecoder()
-    dec.feed(bytes(enc))
-    with pytest.raises(p.ChecksumMismatch) as caught:
-        dec.next_frame()
-    dec.feed(b"more")
-    assert dec.buffered == len(enc) + 4
-    assert caught.value is not None
+        dec.frames()
 
 
 def test_frames_returns_every_complete_frame_and_keeps_a_prefix():
@@ -275,13 +260,11 @@ def test_frames_returns_the_frames_before_a_bad_checksum_then_raises():
     assert dec.buffered == len(bad) + len(good)
     with pytest.raises(p.ChecksumMismatch):
         dec.frames()
-    with pytest.raises(p.ChecksumMismatch):
-        dec.next_frame()
 
 
 def test_frames_takes_more_bytes_while_a_checksum_error_is_held():
-    # As for next_frame: the caught error's traceback must not keep the
-    # buffer from growing.
+    # The frame is checked through views of the decoder's buffer; the
+    # caught error's traceback must not keep the buffer from growing.
     enc = bytearray(p.encode_frame(REQUEST))
     enc[-1] ^= 1
     dec = p.FrameDecoder()
@@ -309,7 +292,7 @@ def test_stream_decoder_enforces_body_limit_before_buffering():
     enc = p.encode_frame(p.request(1, 1, b"", b"\x00" * 11))
     dec.feed(enc[:25])
     with pytest.raises(p.FrameTooLarge):
-        dec.next_frame()
+        dec.frames()
 
 
 @pytest.mark.parametrize(
@@ -329,7 +312,7 @@ def test_stream_and_whole_frame_decoders_reject_a_header_alike(offset, value, er
     dec = p.FrameDecoder()
     dec.feed(bytes(header))
     with pytest.raises(p.ProtocolError) as streamed:
-        dec.next_frame()
+        dec.frames()
     assert whole.type is streamed.type is error
 
 

@@ -199,6 +199,7 @@ class RawClient:
     def __init__(self, address):
         self.sock = socket.create_connection(address, timeout=10)
         self.decoder = FrameDecoder()
+        self.ready: list[Frame] = []  # decoded, not yet returned
 
     def send(self, *frames: Frame) -> None:
         self.sock.sendall(b"".join(protocol.encode_frame(f) for f in frames))
@@ -207,19 +208,19 @@ class RawClient:
         self.sock.sendall(data)
 
     def recv_frames(self, count: int) -> list[Frame]:
-        out = []
-        while len(out) < count:
-            if (frame := self.decoder.next_frame()) is not None:
-                out.append(frame)
-                continue
+        while True:
+            self.ready += self.decoder.frames()
+            if len(self.ready) >= count:
+                break
             data = self.sock.recv(65536)
             if not data:
                 raise ConnectionError("server closed the connection")
             self.decoder.feed(data)
+        out, self.ready = self.ready[:count], self.ready[count:]
         return out
 
     def recv_until_closed(self) -> list[Frame]:
-        out = []
+        out, self.ready = self.ready, []
         while True:
             try:
                 data = self.sock.recv(65536)
@@ -228,8 +229,7 @@ class RawClient:
             if not data:
                 break
             self.decoder.feed(data)
-            while (frame := self.decoder.next_frame()) is not None:
-                out.append(frame)
+            out += self.decoder.frames()
         return out
 
     def close(self):
