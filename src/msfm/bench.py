@@ -27,10 +27,10 @@ Each run yields one `BenchReport`, and `--mode both` adds one
 each record in the shape its class gives it, and is the one
 machine-readable output.
 
-Service-time coefficients are fixed, documented defaults so replays
-are reproducible; `calibrate_service_cost` measures the running
-machine's compress time instead, for sim compress runs that want model
-numbers grounded in local codec speed (at the cost of determinism).
+A run's transform rules are the store's: `BenchSpec.policy` is the
+`ObjectPolicy` its puts use, and that policy's checks are the spec's.
+The sim's costs come from `SimParams` alone, whose fixed, documented
+defaults keep every sim report reproducible.
 """
 
 from __future__ import annotations
@@ -49,9 +49,8 @@ from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
-from . import codec, protocol
+from . import codec, miniobj, protocol
 from .client import Client, ClientConfig, ClientError, MODE_REMOTE
-from .gfec import code_fits
 from .miniobj import ObjectManifest, ObjectPolicy, ObjectStore, StoreError, StoreStats
 from .server import Server, ServerConfig, default_registry
 
@@ -70,7 +69,6 @@ _HEADLINE_METRIC = {WORKLOAD_RANDWRITE: "iops", WORKLOAD_WRITE: "bandwidth_mbps"
 _WORKLOADS = tuple(_HEADLINE_METRIC)
 _MODES = (MODE_INSTANCE, MODE_COMPRESSOR)
 _TRANSPORTS = (TRANSPORT_SIM, TRANSPORT_TCP)
-_TRANSFORMS = ("none", "compress", "ec")
 
 # randwrite picks overwrite targets from a bounded name pool so the
 # store footprint stays flat no matter how long the run is.
@@ -81,7 +79,9 @@ _NAME_POOL = 4096
 _SEED_STRIDE = 0x9E3779B1
 
 # The stored form is what compress falls back to, not a codec to ask for.
-_CODEC_BY_NAME = {"rle0": codec.CODEC_RLE0, "lz": codec.CODEC_LZ}
+_CODEC_BY_NAME = {
+    name: cid for name, cid in codec.CODEC_NAMES.items() if cid != codec.CODEC_STORED
+}
 _CODEC_NAME_BY_ID = {codec_id: name for name, codec_id in _CODEC_BY_NAME.items()}
 
 
@@ -164,8 +164,6 @@ class BenchSpec:
             raise InvalidSpec(f"unknown mode {self.mode!r}")
         if self.transport not in _TRANSPORTS:
             raise InvalidSpec(f"unknown transport {self.transport!r}")
-        if self.transform not in _TRANSFORMS:
-            raise InvalidSpec(f"unknown transform {self.transform!r}")
         if self.block_size < 1:
             raise InvalidSpec("block_size must be >= 1")
         if self.iodepth < 1:
@@ -178,10 +176,15 @@ class BenchSpec:
             raise InvalidSpec("runtime_s must be > 0")
         if not 0.0 <= self.zero_fraction <= 1.0:
             raise InvalidSpec("zero_fraction must be within [0, 1]")
-        if self.transform == "compress" and self.codec_id not in _CODEC_NAME_BY_ID:
-            raise InvalidSpec(f"unknown codec id {self.codec_id}")
-        if self.transform == "ec" and not code_fits(self.k, self.m):
-            raise InvalidSpec(f"invalid ec parameters k={self.k} m={self.m}")
+        try:
+            self.policy
+        except ValueError as exc:
+            raise InvalidSpec(str(exc)) from None
+
+    @property
+    def policy(self) -> ObjectPolicy:
+        """The in-process policy of this run's puts."""
+        return ObjectPolicy(self.transform, self.codec_id, self.k, self.m)
 
     def to_dict(self) -> dict:
         out = {
@@ -296,14 +299,6 @@ def _fill_block(rng: random.Random, size: int, zero_fraction: float) -> bytes:
 def make_block(size: int, zero_fraction: float, seed: int) -> bytes:
     """A reproducible test block, `zero_fraction` compressible by runs."""
     return _fill_block(random.Random(seed), size, zero_fraction)
-
-
-def _policy_for(spec: BenchSpec, client: Client | None) -> ObjectPolicy:
-    if spec.transform == "compress":
-        return ObjectPolicy.compress(spec.codec_id, client=client)
-    if spec.transform == "ec":
-        return ObjectPolicy.ec(spec.k, spec.m, client=client)
-    return ObjectPolicy(client=client)
 
 
 def _build_store(spec: BenchSpec) -> ObjectStore:
@@ -501,7 +496,7 @@ def _run_sim(spec: BenchSpec) -> BenchReport:
         return clock
 
     store = _build_store(spec)
-    return _drive(spec, store, _policy_for(spec, None), lambda: clock, finished_at)
+    return _drive(spec, store, spec.policy, lambda: clock, finished_at)
 
 
 def _run_tcp(spec: BenchSpec) -> BenchReport:
@@ -524,7 +519,7 @@ def _run_tcp(spec: BenchSpec) -> BenchReport:
             client = Client(config)
         try:
             store = _build_store(spec)
-            policy = _policy_for(spec, client=client)
+            policy = replace(spec.policy, client=client)
             wall = time.perf_counter
             return _drive(spec, store, policy, wall, lambda begun, manifest: wall())
         finally:
@@ -583,36 +578,6 @@ def compare(
             ComparisonRow(left.spec.iodepth, metric, mine, theirs, mine / theirs)
         )
     return rows
-
-
-def calibrate_service_cost(
-    codec_id: int = codec.CODEC_RLE0,
-    zero_fraction: float = 0.5,
-    repeats: int = 5,
-) -> tuple[float, float]:
-    """Measure (service_fixed_us, service_us_per_byte) on this machine.
-
-    Times the codec on a small and a large block and solves the affine
-    cost model through those two points.  Results vary run to run;
-    use only when local realism matters more than reproducibility.
-    """
-    sizes = (4096, 65536)
-    costs = []
-    for size in sizes:
-        block = make_block(size, zero_fraction, seed=size)
-        best = min(
-            _timed_compress(block, codec_id) for _ in range(max(1, repeats))
-        )
-        costs.append(best * 1e6)
-    per_byte = max(0.0, (costs[1] - costs[0]) / (sizes[1] - sizes[0]))
-    fixed = max(0.0, costs[0] - per_byte * sizes[0])
-    return fixed, per_byte
-
-
-def _timed_compress(block: bytes, codec_id: int) -> float:
-    begin = time.perf_counter()
-    codec.compress(block, codec_id)
-    return time.perf_counter() - begin
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +689,7 @@ def main(argv: list[str] | None = None) -> int:
         help="time budget per run (default 30s unless --ops is given)",
     )
     parser.add_argument("--ops", type=int, default=None, help="op budget per run")
-    parser.add_argument("--transform", choices=_TRANSFORMS, default="compress")
+    parser.add_argument("--transform", choices=miniobj.TRANSFORMS, default="compress")
     parser.add_argument("--codec", choices=sorted(_CODEC_BY_NAME), default="rle0")
     parser.add_argument("--k", type=int, default=4)
     parser.add_argument("--m", type=int, default=2)
@@ -738,12 +703,6 @@ def main(argv: list[str] | None = None) -> int:
         "--paper-reference", action="store_true",
         help="append the published reference measurements to the output",
     )
-    parser.add_argument(
-        "--calibrate", action="store_true",
-        help="measure the codec's compress time on this machine and use it as"
-        " the service cost instead of the fixed defaults (--transport sim"
-        " --transform compress only; runs stop being reproducible)",
-    )
     args = parser.parse_args(argv)
 
     sim_kwargs = {}
@@ -751,20 +710,6 @@ def main(argv: list[str] | None = None) -> int:
         sim_kwargs["latency_us"] = args.sim_latency_us
     if args.sim_bw_mbps is not None:
         sim_kwargs["bandwidth_mbps"] = args.sim_bw_mbps
-    if args.calibrate:
-        # The calibrated cost is a compress time: it would misprice an EC
-        # encode, and the tcp transport uses no modeled cost at all.
-        if (args.transport, args.transform) != (TRANSPORT_SIM, "compress"):
-            parser.error("--calibrate needs --transport sim --transform compress")
-        fixed, per_byte = calibrate_service_cost(
-            _CODEC_BY_NAME[args.codec], args.zero_fraction
-        )
-        sim_kwargs["service_fixed_us"] = fixed
-        sim_kwargs["service_us_per_byte"] = per_byte
-        print(
-            f"calibrated service cost: {fixed:.1f}us + {per_byte:.4f}us/byte",
-            file=sys.stderr,
-        )
 
     runtime = args.runtime
     if args.ops is None and runtime is None:

@@ -45,9 +45,12 @@ queue holds at most 64 KiB plus one request per submitting thread.  A
 response that arrives after its Instance timed out is discarded.  A
 transport failure fails every in-flight Instance with TransportError,
 queued ones included, and close() fails them with ClientClosed without
-sending them.  A failed connect raises TransportError at once: the
-client neither retries a connect nor reconnects (failover is out of
-scope).
+sending them.  A server that closes the connection over a request it
+cannot decode first sends a failure response with correlation id 0,
+the connection-level error response (docs/wire.md); its detail is the
+reason that TransportError gives ("server closed the connection: ...").
+A failed connect raises TransportError at once: the client neither
+retries a connect nor reconnects (failover is out of scope).
 """
 
 from __future__ import annotations
@@ -157,6 +160,7 @@ class Transport:
         raise NotImplementedError
 
     def close(self) -> None:
+        """Release the connection; later calls do nothing more."""
         raise NotImplementedError
 
 
@@ -429,17 +433,16 @@ class Client:
     def close(self) -> None:
         """Stop the client; all non-terminal instances fail ClientClosed.
 
-        Safe from any thread: closing the transport wakes a caller that
-        is blocked reading it.
+        Safe from any thread, and more than once: closing the transport
+        wakes a caller that is blocked reading it.  A client whose
+        connection failed is closed too, and its transport with it.
         """
-        with self._lock:
-            if self._closed:
-                return
+        if self.config.mode == MODE_IN_PROCESS:
             self._closed = True
-        if self.config.mode == MODE_REMOTE:
-            self._fail_all(ClientClosed("client closed"))
-            assert self._transport is not None
-            self._transport.close()
+            return
+        self._fail_all(ClientClosed("client closed"))
+        assert self._transport is not None
+        self._transport.close()
 
     def __enter__(self) -> "Client":
         return self
@@ -596,20 +599,29 @@ class Client:
     def _complete(self, frames: list[Frame], own: int) -> None:
         """Finish the Instance of each response, under one lock acquisition.
 
-        Wakes the waiters if a call other than `own` was completed.
+        Wakes the waiters if a call other than `own` was completed.  A
+        failure with correlation id 0, which no call has, is the server's
+        reason for closing the connection: it fails every pending call.
         """
         others = False
+        closing = None
         pending = self._pending
         with self._lock:
             for frame in frames:
                 correlation_id = frame.correlation_id
                 instance = pending.pop(correlation_id, None)
-                # None: a duplicate, or the response to a timed-out call.
+                # None: a duplicate, the response to a timed-out call, or
+                # the connection's last frame.
                 if instance is not None:
                     self._deliver(instance, frame)
                     others |= correlation_id != own
+                elif correlation_id == 0 and frame.status != _OK:
+                    closing = frame
             if others:
                 self._turn.notify_all()
+        if closing is not None:
+            detail = closing.params.decode("utf-8", errors="replace")
+            self._fail_all(TransportError(f"server closed the connection: {detail}"))
 
     def _deliver(self, instance: Instance, frame: Frame) -> None:
         if frame.status == _OK:

@@ -82,6 +82,11 @@ MANIFEST_VERSION = 1
 TRANSFORM_NONE = "none"
 TRANSFORM_COMPRESS = "compress"
 TRANSFORM_EC = "ec"
+TRANSFORMS = (TRANSFORM_NONE, TRANSFORM_COMPRESS, TRANSFORM_EC)
+
+# The codecs compress takes.  The stored form is what it falls back to
+# when a codec does not shrink a block, not a codec to ask for.
+_CODECS = (codec_mod.CODEC_RLE0, codec_mod.CODEC_LZ)
 
 
 class StoreError(Exception):
@@ -115,8 +120,10 @@ class ObjectPolicy:
     client: Client | None = None
 
     def __post_init__(self) -> None:
-        if self.transform not in (TRANSFORM_NONE, TRANSFORM_COMPRESS, TRANSFORM_EC):
+        if self.transform not in TRANSFORMS:
             raise ValueError(f"unknown transform {self.transform!r}")
+        if self.transform == TRANSFORM_COMPRESS and self.codec_id not in _CODECS:
+            raise ValueError(f"cannot compress with codec id {self.codec_id}")
         if self.transform == TRANSFORM_EC and not code_fits(self.k, self.m):
             raise ValueError(f"invalid ec parameters k={self.k} m={self.m}")
 

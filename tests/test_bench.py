@@ -6,6 +6,7 @@ slack for ramp-up transients.  Absolute IOPS/MB/s numbers are never
 asserted against fixed targets — only shapes and relationships.
 """
 
+import itertools
 import json
 import math
 import threading
@@ -28,7 +29,8 @@ from msfm.bench import (
     run,
     sweep,
 )
-from msfm.miniobj import ObjectStore
+from msfm.client import ClientError
+from msfm.miniobj import ObjectStore, StoreError
 
 
 def sim_spec(**overrides) -> BenchSpec:
@@ -509,15 +511,49 @@ def test_making_inputs_is_left_out_of_the_timed_window(monkeypatch, budget):
 
     monkeypatch.setattr(bench, "_op_input", slow_op_input)
     spec = BenchSpec(transform="none", transport="tcp", seed=5, **budget)
-    policy = bench._policy_for(spec, None)
     store = bench._build_store(spec)
-    report = bench._drive(spec, store, policy, lambda: clock, finished_at)
+    report = bench._drive(spec, store, spec.policy, lambda: clock, finished_at)
     assert report.completed == 10
     assert report.elapsed_s == pytest.approx(0.010)
     assert report.iops == pytest.approx(1000.0)
     assert report.latency_us["mean"] == pytest.approx(1000.0)
     assert report.untimed_s == pytest.approx(10.0)
     assert report.to_dict()["untimed_s"] == report.untimed_s
+
+
+def test_failed_puts_count_as_errors_without_a_latency_sample(monkeypatch):
+    # Put 3 fails at its submit and put 6 when it is finished.
+    clock = 0.0
+    samples = 0
+    submit_put = ObjectStore.submit_put
+    submits = itertools.count()
+
+    def failing_submit_put(store, name, data, policy):
+        index = next(submits)
+        if index == 3:
+            raise StoreError("refused at submit")
+        finish = submit_put(store, name, data, policy)
+        if index != 6:
+            return finish
+
+        def fail():
+            raise ClientError("failed when finished")
+
+        return fail
+
+    def finished_at(begun, manifest):
+        nonlocal clock, samples
+        samples += 1
+        clock += 0.001
+        return clock
+
+    monkeypatch.setattr(ObjectStore, "submit_put", failing_submit_put)
+    spec = BenchSpec(transform="none", transport="tcp", iodepth=4, ops=10, seed=5)
+    store = bench._build_store(spec)
+    report = bench._drive(spec, store, spec.policy, lambda: clock, finished_at)
+    assert next(submits) == spec.ops
+    assert report.errors == 2
+    assert report.completed == samples == spec.ops - 2
 
 
 # ---------------------------------------------------------------------------
@@ -644,22 +680,6 @@ def test_cli_sim_link_flags_reach_the_model(tmp_path):
     assert slow["compressor"] == base["compressor"]
 
 
-@pytest.mark.parametrize(
-    "flags", [["--transform", "ec"], ["--transport", "tcp"]], ids=["ec", "tcp"]
-)
-def test_cli_rejects_calibrate_outside_sim_compress(monkeypatch, capsys, flags):
-    # The calibrated cost is the codec's compress time: it does not price an
-    # EC encode, and the tcp transport models no cost.
-    def no_calibration(*args):
-        raise AssertionError("calibrated a run that cannot use the cost")
-
-    monkeypatch.setattr(bench, "calibrate_service_cost", no_calibration)
-    with pytest.raises(SystemExit) as exited:
-        bench.main(["--calibrate", "--ops", "10", *flags])
-    assert exited.value.code == 2
-    assert "error: --calibrate" in capsys.readouterr().err
-
-
 def test_cli_duration_parsing():
     assert bench._parse_runtime("30s") == 30.0
     assert bench._parse_runtime("500ms") == 0.5
@@ -675,8 +695,3 @@ def test_cli_size_parsing():
     assert bench._parse_size("1m") == 1048576
     assert bench._parse_size("512") == 512
 
-
-def test_calibration_returns_plausible_costs():
-    fixed, per_byte = bench.calibrate_service_cost(repeats=2)
-    assert fixed >= 0.0
-    assert 0.0 <= per_byte < 10.0

@@ -903,6 +903,70 @@ def test_threads_sharing_a_small_queue_lose_no_request():
     assert errors == []
 
 
+def test_the_server_s_reason_for_closing_reaches_the_caller():
+    # The whole request arrives in one server read, so the server's
+    # close after its connection-level error response is a clean FIN.
+    with Server(ServerConfig(max_frame_bytes=4096), default_registry()) as server:
+        with Client(ClientConfig(mode="remote", address=server.address)) as client:
+            with pytest.raises(
+                TransportError,
+                match="^server closed the connection: "
+                "declared body 8193 exceeds limit 4096$",
+            ):
+                client.call(FunctionId.COMPRESS, CompressParams(1), bytes(8192))
+            with pytest.raises(ClientClosed):
+                client.submit(FunctionId.COMPRESS, CompressParams(1), b"x")
+
+
+def serve_one_request(answer):
+    """A raw listener that reads one request, writes `answer(request)`, closes.
+
+    Returns the listener's address and the thread serving it.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5)
+
+    def serve():
+        with listener:
+            connection, _ = listener.accept()
+        with connection:
+            connection.settimeout(5)
+            decoder = protocol.FrameDecoder()
+            while not (frames := decoder.frames()):
+                decoder.feed(connection.recv(1 << 16))
+            connection.sendall(answer(frames[0]))
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    return listener.getsockname(), thread
+
+
+def test_a_server_that_closes_unanswered_fails_the_call():
+    address, thread = serve_one_request(lambda request: b"")
+    with Client(ClientConfig(mode="remote", address=address)) as client:
+        with pytest.raises(TransportError, match="^connection closed by server$"):
+            client.call(FunctionId.COMPRESS, CompressParams(1), b"abc", timeout_ms=5000)
+        with pytest.raises(ClientClosed):
+            client.submit(FunctionId.COMPRESS, CompressParams(1), b"x")
+    thread.join(5)
+    assert not thread.is_alive()
+
+
+def test_a_corrupt_response_fails_the_call():
+    def flipped(request):
+        frame = protocol.response(request, protocol.Status.OK, b"reply")
+        data = bytearray(protocol.encode_frame(frame))
+        data[-1] ^= 0x01  # the last payload byte, under the checksum
+        return bytes(data)
+
+    address, thread = serve_one_request(flipped)
+    with Client(ClientConfig(mode="remote", address=address)) as client:
+        with pytest.raises(TransportError, match="^undecodable response stream: "):
+            client.call(FunctionId.COMPRESS, CompressParams(1), b"abc", timeout_ms=5000)
+    thread.join(5)
+    assert not thread.is_alive()
+
+
 def test_tcp_connect_failure_raises_transport_error():
     config = ClientConfig(
         mode="remote",

@@ -82,6 +82,13 @@ def test_empty_name_rejected():
         ObjectStore().put("", b"x", ObjectPolicy.none())
 
 
+@pytest.mark.parametrize("codec_id", [codec.CODEC_STORED, 9], ids=["stored", "9"])
+def test_compress_policy_refuses_a_codec_compress_refuses(codec_id):
+    # Accepted, such a policy would fail only at the put's transform call.
+    with pytest.raises(ValueError, match=f"cannot compress with codec id {codec_id}"):
+        ObjectPolicy.compress(codec_id)
+
+
 # --- EC specifics ---------------------------------------------------------------
 
 def test_ec_padding_arithmetic():
