@@ -5,7 +5,13 @@ in-process or behind a small framed TCP protocol, plus the object
 store that uses them and a benchmark driver that compares the two
 execution modes.
 
-The names below are imported from their modules on first use (PEP
+The package exports what a library user needs: the client, the object
+store and its policy, and the server with its function registry.  The
+codec, erasure-coding, wire-format and benchmark names are imported
+from their own modules (`msfm.codec`, `msfm.gfec`, `msfm.protocol`,
+`msfm.bench`).
+
+The exported names are imported from their modules on first use (PEP
 562), so that `python -m msfm.server` and the other module entry points
 do not run a module that importing the package had already loaded.
 """
@@ -15,30 +21,16 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "BenchReport": "bench",
-    "BenchSpec": "bench",
-    "CODEC_LZ": "codec",
-    "CODEC_RLE0": "codec",
-    "CODEC_STORED": "codec",
     "Client": "client",
     "ClientConfig": "client",
-    "EcProfile": "gfec",
-    "Frame": "protocol",
     "ObjectPolicy": "miniobj",
     "ObjectStore": "miniobj",
     "Server": "server",
     "ServerConfig": "server",
-    "ShardSet": "gfec",
-    "compress": "codec",
-    "decode_frame": "protocol",
-    "decompress": "codec",
     "default_registry": "server",
-    "ec_decode": "gfec",
-    "ec_encode": "gfec",
-    "encode_frame": "protocol",
 }
 
-__all__ = ["__version__", *_EXPORTS]
+__all__ = list(_EXPORTS)
 
 
 def __getattr__(name: str):

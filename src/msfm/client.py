@@ -33,6 +33,8 @@ Transport (TCP, or a test double).  In-process mode — the monolithic
 baseline — skips the wire entirely and hands the very same request
 frame to the very same `server.dispatch` used remotely, so any
 behavioral difference between the modes is a bug, not a mode property.
+The one exception is the server's frame limit, which holds remotely
+only: a response over it is refused there (docs/wire.md).
 
 Both the clock and the transport are injectable, which keeps timeout
 logic and network behavior testable without real sleeping or sockets.
@@ -49,12 +51,18 @@ sending them.  A server that closes the connection over a request it
 cannot decode first sends a failure response with correlation id 0,
 the connection-level error response (docs/wire.md); its detail is the
 reason that TransportError gives ("server closed the connection: ...").
+That holds also when the server closes while the client still writes
+the request, as it does over one larger than its limit: a send that
+fails first reads what the connection holds, and the calls that this
+leaves pending fail with "send failed: ..." (or "connection closed by
+server", if that read finds the connection closed).
 A failed connect raises TransportError at once: the client neither
 retries a connect nor reconnects (failover is out of scope).
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import select
 import socket
@@ -116,10 +124,6 @@ _STATUS_ERRORS: dict[int, type[RemoteError]] = {
     Status.FUNCTION_FAILURE: FunctionFailed,
     Status.SERVER_BUSY: ServerBusy,
 }
-
-
-def error_for_status(status: int, detail: str) -> RemoteError:
-    return _STATUS_ERRORS.get(status, RemoteError)(status, detail)
 
 
 class Clock:
@@ -500,15 +504,21 @@ class Client:
             try:
                 self._transport.send(b"".join(batch), self._read_for_stalled_send)
             except OSError as exc:
+                # A server that closed over this batch may have said why
+                # first; its reason fails the calls if it is readable.
+                with contextlib.suppress(OSError):
+                    while self._read_for_stalled_send():
+                        pass
                 self._fail_all(TransportError(f"send failed: {exc}"))
 
-    def _read_for_stalled_send(self) -> None:
+    def _read_for_stalled_send(self) -> bool:
         """Read the answers that keep the server from taking a request.
 
         The sender holds the send lock, and a reader writes the queue
         before it reads, so any call a reader awaits was sent before
         this batch and is answered first: that reader leaves, and the
-        sender waits on `_turn` for its turn.
+        sender waits on `_turn` for its turn.  Returns whether a chunk
+        came.
         """
         if self._closed:
             raise OSError("client closed")
@@ -517,7 +527,7 @@ class Client:
                 self._turn.wait()
             self._reading = True
         try:
-            self._read_once(0.0)
+            return self._read_once(0.0)
         finally:
             self._leave()
 
@@ -628,7 +638,8 @@ class Client:
             instance._finish(_COMPLETED, frame.payload)
         else:
             detail = frame.params.decode("utf-8", errors="replace")
-            instance._finish(_FAILED, error=error_for_status(frame.status, detail))
+            error = _STATUS_ERRORS.get(frame.status, RemoteError)(frame.status, detail)
+            instance._finish(_FAILED, error=error)
 
     def _fail_all(self, error: ClientError) -> None:
         """Close the client and fail every pending call.

@@ -102,6 +102,23 @@ def compress(data: bytes, codec_id: int) -> bytes:
     return _HEADER.pack(codec_id, 0, len(data)) + body
 
 
+def read_header(block: bytes) -> tuple[int, int]:
+    """The codec_id and raw_len that a block's header declares.
+
+    Reads the header alone: the body is neither checked nor decoded.
+
+    Raises:
+        MalformedBlock: Shorter than the 6-byte header, or nonzero
+            reserved flags.
+    """
+    if len(block) < HEADER_SIZE:
+        raise MalformedBlock(f"{len(block)} bytes is shorter than the header")
+    codec_id, flags, raw_len = _HEADER.unpack_from(block)
+    if flags != 0:
+        raise MalformedBlock(f"reserved flags byte is {flags:#04x}")
+    return codec_id, raw_len
+
+
 def decompress(block: bytes) -> bytes:
     """Decode a compressed block back to the original bytes.
 
@@ -118,11 +135,7 @@ def decompress(block: bytes) -> bytes:
         CorruptBlock: Body fails to decode, decodes to a length other
             than raw_len, or (stored form) has length != raw_len.
     """
-    if len(block) < HEADER_SIZE:
-        raise MalformedBlock(f"{len(block)} bytes is shorter than the header")
-    codec_id, flags, raw_len = _HEADER.unpack_from(block)
-    if flags != 0:
-        raise MalformedBlock(f"reserved flags byte is {flags:#04x}")
+    codec_id, raw_len = read_header(block)
     body = memoryview(block)[HEADER_SIZE:]  # no copy of a large body
     if codec_id == CODEC_STORED:
         if len(body) != raw_len:

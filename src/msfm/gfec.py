@@ -126,14 +126,6 @@ class ShardSet:
     profile: EcProfile
     shards: list[bytes | None]
 
-    @property
-    def present_bitmap(self) -> int:
-        bits = 0
-        for i, shard in enumerate(self.shards):
-            if shard is not None:
-                bits |= 1 << i
-        return bits
-
     def erase(self, *indices: int) -> "ShardSet":
         """Copy with the given shard slots dropped."""
         shards: list[bytes | None] = list(self.shards)
@@ -142,15 +134,16 @@ class ShardSet:
         return ShardSet(self.profile, shards)
 
 
-def build_matrix(k: int, m: int) -> list[list[int]]:
-    """The (k+m) x k systematic Cauchy generator matrix.
+@functools.lru_cache(maxsize=64)
+def build_matrix(k: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """The (k+m) x k systematic Cauchy generator matrix, built once per code.
 
     Args:
         k: Data shard count.
         m: Parity shard count.
 
     Returns:
-        Rows as lists of field elements; row r < k is identity row r,
+        Rows as tuples of field elements; row r < k is identity row r,
         row k+i has entries gf_inv((k+i) XOR j) for column j.
 
     Raises:
@@ -158,16 +151,9 @@ def build_matrix(k: int, m: int) -> list[list[int]]:
     """
     if not code_fits(k, m):
         raise InvalidProfile(f"invalid k={k} m={m}")
-    rows = [[1 if c == r else 0 for c in range(k)] for r in range(k)]
-    for i in range(m):
-        rows.append([gf_inv((k + i) ^ j) for j in range(k)])
-    return rows
-
-
-@functools.lru_cache(maxsize=64)
-def _generator(k: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """build_matrix(k, m), built once per code and immutable."""
-    return tuple(map(tuple, build_matrix(k, m)))
+    identity = [tuple(int(c == r) for c in range(k)) for r in range(k)]
+    parity = [tuple(gf_inv((k + i) ^ j) for j in range(k)) for i in range(m)]
+    return tuple(identity + parity)
 
 
 @functools.lru_cache(maxsize=256)
@@ -175,7 +161,7 @@ def _decode_matrix(
     k: int, m: int, rows: tuple[int, ...]
 ) -> tuple[tuple[int, ...], ...]:
     """Inverse of the generator's `rows`, built once per present-set."""
-    generator = _generator(k, m)
+    generator = build_matrix(k, m)
     return tuple(map(tuple, _invert([generator[r] for r in rows])))
 
 
@@ -210,7 +196,7 @@ def ec_encode(data: bytes, profile: EcProfile) -> ShardSet:
     shards: list[bytes | None] = [
         data[j * size : (j + 1) * size] for j in range(k)
     ]
-    matrix = _generator(k, m)
+    matrix = build_matrix(k, m)
     data_shards = shards[:k]
     for i in range(m):
         shards.append(_combine(matrix[k + i], data_shards, size))  # type: ignore[arg-type]
@@ -259,7 +245,7 @@ def ec_decode(shard_set: ShardSet) -> bytes:
     return b"".join(out)
 
 
-def _invert(rows: list[list[int]]) -> list[list[int]]:
+def _invert(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Gauss-Jordan inverse of a square matrix over GF(2^8)."""
     n = len(rows)
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]

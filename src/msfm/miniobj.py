@@ -223,6 +223,22 @@ def _replace_file(path: Path, write: Callable[[Path], object]) -> None:
         raise
 
 
+def _check_block(block: bytes, raw_len: int) -> None:
+    """Raise StoreError unless `block`'s header declares `raw_len` bytes.
+
+    The body is not decoded: a block of the right length that decodes
+    to other bytes passes.
+    """
+    try:
+        declared = codec_mod.read_header(block)[1]
+    except codec_mod.CodecError as exc:
+        raise StoreError(f"compress output is not a block: {exc}") from None
+    if declared != raw_len:
+        raise StoreError(
+            f"compress output declares {declared} bytes, the object has {raw_len}"
+        )
+
+
 class OsdTarget:
     """One simulated storage daemon: a keyed blob map, possibly on disk."""
 
@@ -396,6 +412,10 @@ class ObjectStore:
             PlacementError: Fewer live OSDs than the object has blobs;
                 raised before any transform call.
             ClientError subtypes: The transform itself failed.
+            StoreError: The transform answered output of the wrong
+                shape: EC output that is not k+m shards, or a block whose
+                header declares other than the object's length.  Nothing
+                is written.
             NotFound: A target OSD went down during the put.
             OSError: A disk-backed blob or manifest write failed.
         """
@@ -452,6 +472,14 @@ class ObjectStore:
             request = (FunctionId.COMPRESS, CompressParams(policy.codec_id), data)
 
         def complete(output: bytes) -> ObjectManifest:
+            # A transform output of the wrong shape is never stored.
+            if policy.transform == TRANSFORM_EC and len(output) != count * shard_size:
+                raise StoreError(
+                    f"ec output is {len(output)} bytes, not {count} shards "
+                    f"of {shard_size}"
+                )
+            if policy.transform == TRANSFORM_COMPRESS:
+                _check_block(output, len(data))
             # EC output is k+m shards back to back; other output is one blob.
             size = shard_size or len(output)
             blobs = [output[i * size : (i + 1) * size] for i in range(count)]

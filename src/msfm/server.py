@@ -20,6 +20,14 @@ stop() joins them, so a started Server must be stopped.
 A frame that fails to decode kills its connection: the frames decoded
 before it are still answered, then the server sends a best-effort
 status-2 response with correlation_id 0 and closes.
+
+A response body never exceeds the server's own `max_frame_bytes`, the
+limit its peer's requests are held to.  A request whose output it can
+tell from the request alone is refused before it runs: DECOMPRESS by
+the block header's raw_len, EC_ENCODE by its payload split into k + m
+shards.  Any other result over the limit is refused once it is made.
+A refusal is a status-3 response to that request, and the connection
+stays open.  An in-process call has no such limit.
 """
 
 from __future__ import annotations
@@ -103,7 +111,10 @@ def default_registry(functions: str = "compress,ec") -> dict[int, Handler]:
     return registry
 
 
-_OK = Status.OK  # an enum member lookup costs a class attribute search
+# An enum member lookup costs a class attribute search each; these do not.
+_OK = Status.OK
+_DECOMPRESS = FunctionId.DECOMPRESS
+_EC_ENCODE = FunctionId.EC_ENCODE
 
 
 def dispatch(request: Frame, registry: dict[int, Handler]) -> Frame:
@@ -142,6 +153,33 @@ def dispatch(request: Frame, registry: dict[int, Handler]) -> Frame:
         detail = f"{type(exc).__name__}: {exc}"
         return protocol.response(request, Status.FUNCTION_FAILURE, detail=detail)
     return protocol.response(request, _OK, result)
+
+
+def _answer(request: Frame, registry: dict[int, Handler], limit: int) -> Frame:
+    """dispatch(request), refused if its response payload would exceed `limit`.
+
+    A DECOMPRESS or EC_ENCODE request fixes its output size, so it is
+    refused before it runs: by the block header's raw_len, or by the
+    payload expanded to k + m shards.  Any other result is refused once
+    it is made.
+    """
+    _, _, function_id, _, raw_params, payload = request
+    size = 0
+    try:
+        if function_id == _DECOMPRESS and function_id in registry:
+            size = codec.read_header(payload)[1]
+        elif function_id == _EC_ENCODE and function_id in registry:
+            params = protocol.decode_params(function_id, raw_params)
+            size = len(payload) // params.k * (params.k + params.m)
+    except (codec.CodecError, protocol.MalformedParams):
+        pass  # dispatch refuses the request itself
+    if size <= limit:
+        response = dispatch(request, registry)
+        size = len(response.payload)
+        if size <= limit:
+            return response
+    detail = f"response of {size} bytes exceeds limit {limit}"
+    return protocol.response(request, Status.FUNCTION_FAILURE, detail=detail)
 
 
 @dataclass
@@ -245,7 +283,8 @@ class _Connection(socketserver.BaseRequestHandler):
         # Responses are small writes the client waits on; with Nagle
         # on, each burst would wait for the peer's delayed ACK.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        decoder = FrameDecoder(server.config.max_frame_bytes)
+        limit = server.config.max_frame_bytes
+        decoder = FrameDecoder(limit)
         registry = server.registry
         # One read takes in a whole 64 KiB frame, with no allocation.
         chunk = memoryview(bytearray(1 << 17))
@@ -261,7 +300,7 @@ class _Connection(socketserver.BaseRequestHandler):
                 # Frames decoded before a bad one are still answered: the
                 # call after the one that returns them raises.
                 while frames := decoder.frames():
-                    self._write([dispatch(frame, registry) for frame in frames])
+                    self._write([_answer(frame, registry, limit) for frame in frames])
         except protocol.ProtocolError as exc:
             log.warning("closing connection after decode error: %s", exc)
             # Best effort; correlation id 0 stands for the connection.

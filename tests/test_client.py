@@ -918,6 +918,19 @@ def test_the_server_s_reason_for_closing_reaches_the_caller():
                 client.submit(FunctionId.COMPRESS, CompressParams(1), b"x")
 
 
+def test_the_server_s_reason_reaches_the_caller_after_a_failed_send():
+    # The server closes while the client is still writing 8 MiB, so the
+    # send fails; the reason the server sent first is still readable.
+    with Server(ServerConfig(max_frame_bytes=1 << 20), default_registry()) as server:
+        with Client(ClientConfig(mode="remote", address=server.address)) as client:
+            with pytest.raises(
+                TransportError,
+                match="^server closed the connection: "
+                "declared body 8388609 exceeds limit 1048576$",
+            ):
+                client.call(FunctionId.COMPRESS, CompressParams(1), bytes(8 << 20))
+
+
 def serve_one_request(answer):
     """A raw listener that reads one request, writes `answer(request)`, closes.
 

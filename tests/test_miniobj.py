@@ -25,8 +25,10 @@ from msfm.miniobj import (
     ObjectStore,
     OsdTarget,
     PlacementError,
+    StoreError,
     Unrecoverable,
 )
+from msfm.protocol import FunctionId
 from msfm.server import Server, ServerConfig, default_registry
 
 POLICIES = [
@@ -755,3 +757,50 @@ def test_a_failed_put_leaves_exactly_the_old_or_the_new_version(
             assert view.get("x") == (old if failed else new)
             assert view.get("other") == other
             assert held_blobs(view) == named_blobs(view, ["x", "other"])
+
+
+# --- transform outputs of the wrong shape -------------------------------------
+
+def answering(function_id, wrong):
+    """The default registry, with `function_id` answering `wrong(params, payload, good)`."""
+    registry = default_registry()
+    good = registry[function_id]
+    registry[function_id] = lambda params, payload: wrong(params, payload, good)
+    return registry
+
+
+@pytest.mark.parametrize(
+    "registry, policy, error",
+    [
+        (
+            answering(FunctionId.EC_ENCODE, lambda p, d, good: good(p, d)[:-1]),
+            lambda client: ObjectPolicy.ec(4, 2, client),
+            "ec output is 24575 bytes, not 6 shards of 4096",
+        ),
+        (
+            answering(
+                FunctionId.COMPRESS,
+                lambda p, d, good: codec.compress(d[1:], p.codec_id),
+            ),
+            lambda client: ObjectPolicy.compress(codec.CODEC_RLE0, client),
+            "compress output declares 16383 bytes, the object has 16384",
+        ),
+        (
+            answering(FunctionId.COMPRESS, lambda p, d, good: b"\x01\x00"),
+            lambda client: ObjectPolicy.compress(codec.CODEC_RLE0, client),
+            "compress output is not a block",
+        ),
+    ],
+    ids=["ec-one-byte-short", "compress-other-bytes", "compress-no-block"],
+)
+def test_a_transform_output_of_the_wrong_shape_is_never_stored(registry, policy, error):
+    store = ObjectStore(osd_count=6)
+    store.put("obj", b"first version", ObjectPolicy.none())
+    before = held_blobs(store)
+    data = random.Random(8).randbytes(8192) + bytes(8192)
+    with Server(ServerConfig(), registry) as server:
+        with Client(ClientConfig(mode="remote", address=server.address)) as client:
+            with pytest.raises(StoreError, match=f"^{error}"):
+                store.put("obj", data, policy(client))
+    assert held_blobs(store) == before
+    assert store.get("obj") == b"first version"

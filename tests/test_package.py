@@ -5,6 +5,30 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import msfm
+
+LIBRARY_NAMES = [
+    "Client",
+    "ClientConfig",
+    "ObjectPolicy",
+    "ObjectStore",
+    "Server",
+    "ServerConfig",
+    "default_registry",
+]
+
+
+def test_the_package_exports_the_library_names_only():
+    assert sorted(msfm.__all__) == LIBRARY_NAMES
+    for name in LIBRARY_NAMES:
+        assert getattr(msfm, name) is not None
+    # Codec, erasure-coding and wire names come from their own modules.
+    for name in ("compress", "ec_encode", "encode_frame", "ShardSet", "BenchSpec"):
+        with pytest.raises(AttributeError):
+            getattr(msfm, name)
+
 
 def test_module_entry_points_start_without_a_runtime_warning():
     # `python -m msfm.X` imports the package first; if the package had

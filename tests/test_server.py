@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from msfm import codec, gfec, protocol
-from msfm.client import MODE_REMOTE, Client, ClientConfig
+from msfm.client import MODE_REMOTE, Client, ClientConfig, FunctionFailed
 from msfm.protocol import Frame, FrameDecoder, FunctionId, Status
 from msfm.server import (
     Server,
@@ -508,6 +508,50 @@ def test_many_concurrent_connections():
         for t in threads:
             t.join()
         assert results == [True] * 16
+
+
+# --- responses over the server's frame limit ----------------------------------
+
+SMALL_LIMIT = 1 << 20
+TWO_MIB_OF_ZEROS = codec.compress(bytes(2 * SMALL_LIMIT), codec.CODEC_RLE0)
+# The same header over a body that does not decode.
+CORRUPT_TWO_MIB = TWO_MIB_OF_ZEROS[: codec.HEADER_SIZE] + b"\x00"
+
+
+@pytest.mark.parametrize(
+    "function_id, params, payload",
+    [
+        (FunctionId.DECOMPRESS, protocol.DecompressParams(1), TWO_MIB_OF_ZEROS),
+        (FunctionId.DECOMPRESS, protocol.DecompressParams(1), CORRUPT_TWO_MIB),
+        (FunctionId.EC_ENCODE, protocol.EcEncodeParams(1, 3), bytes(300 * 1024)),
+        # The stored fallback adds a 6-byte header to incompressible input.
+        (
+            FunctionId.COMPRESS,
+            protocol.CompressParams(1),
+            random.Random(5).randbytes(SMALL_LIMIT - 1),
+        ),
+    ],
+    ids=["valid-block", "corrupt-block", "ec-encode-1-3", "stored-fallback"],
+)
+def test_a_response_over_the_limit_fails_its_call_alone(function_id, params, payload):
+    config = ServerConfig(max_frame_bytes=SMALL_LIMIT)
+    with Server(config, REGISTRY) as server:
+        remote = ClientConfig(mode=MODE_REMOTE, address=server.address)
+        with Client(remote) as client:
+            with pytest.raises(FunctionFailed) as raised:
+                client.call(function_id, params, payload)
+            assert raised.value.detail.endswith(f"exceeds limit {SMALL_LIMIT}")
+            # The connection stays open for the next call.
+            block = client.call(FunctionId.COMPRESS, protocol.CompressParams(1), b"ok")
+            assert codec.decompress(block) == b"ok"
+
+
+def test_a_block_over_the_server_limit_still_decodes_in_process():
+    assert codec.decompress(TWO_MIB_OF_ZEROS) == bytes(2 * SMALL_LIMIT)
+    with Client(ClientConfig(mode="in-process")) as client:
+        params = protocol.DecompressParams(1)
+        payload = client.call(FunctionId.DECOMPRESS, params, TWO_MIB_OF_ZEROS)
+        assert payload == bytes(2 * SMALL_LIMIT)
 
 
 def test_config_rejects_zero_limits():
