@@ -732,6 +732,13 @@ def main(argv: list[str] | None = None) -> int:
             sim=SimParams(**sim_kwargs),
             seed=args.seed,
         )
+        if args.out:
+            # Checked before the first run, not after the whole sweep; a
+            # report already there stays until the sweep is done.
+            try:
+                open(args.out, "a").close()
+            except OSError as exc:
+                raise BenchError(f"cannot write --out {args.out}: {exc}") from None
 
         reports = sweep(base, args.iodepth)
         comparison = None

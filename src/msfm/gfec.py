@@ -230,9 +230,6 @@ def ec_decode(shard_set: ShardSet) -> bytes:
     if len(present) < k:
         raise TooFewShards(f"{len(present)} shards present, need {k}")
 
-    if all(shards[j] is not None for j in range(k)):
-        return b"".join(shards[:k])  # type: ignore[arg-type]
-
     rows = tuple(present[:k])
     inverse = _decode_matrix(k, m, rows)
     row_shards = [shards[r] for r in rows]

@@ -2,13 +2,18 @@
 
 The IO application of this package.  `put` optionally compresses the
 object or erasure-codes it into k+m shards before writing to simulated
-OSD targets; `get` reverses the transform.  `submit_put` sends the
-transform call and leaves the put pending until its caller finishes
-it, so one thread can keep many puts in flight on one client.  Every
-transform runs through the client SDK — either an in-process client
-(the default) or a caller-supplied remote client — so the store
-behaves identically regardless of where the function executes, and
-stored bytes are identical either way.
+OSD targets.  `get` calls a function only to undo a transform:
+DECOMPRESS for a compressed object, and EC_DECODE for an EC object
+when a data blob is lost.  Every other read, of a `none` object or of
+an EC object whose k data blobs are all readable, joins the data
+blobs; the code is systematic, so they are the object.  A blob whose
+length differs from the one its manifest records counts as lost.
+`submit_put` sends the transform call and leaves the put pending until
+its caller finishes it, so one thread can keep many puts in flight on
+one client.  Every transform runs through the client SDK — either an
+in-process client (the default) or a caller-supplied remote client —
+so the store behaves identically regardless of where the function
+executes, and stored bytes are identical either way.
 
 One rule places every object.  An object is n blobs: one for `none` and
 `compress`, k+m for EC, and any k of them rebuild it (k = 1 unless EC).
@@ -46,10 +51,13 @@ keys, no whitespace — so equal manifests have equal encodings.
 
 OSD targets hold an in-memory map by default, or a directory of files
 (keys percent-encoded) when the store is rooted on disk; a `.down`
-marker keeps the alive flag persistent for the CLI.  On disk, every blob
-and manifest is written to a temporary file, fsynced, renamed over its
-path, and its directory fsynced, so the blobs a manifest names are
-durable before that manifest is.
+marker keeps the alive flag persistent for the CLI.  One `ObjectStore`
+owns a root at a time: a store caches the manifests it has read or
+written and the last generation it used, so a second instance on the
+same root reads stale manifests and may reuse generations.  On disk,
+every blob and manifest is written to a temporary file, fsynced,
+renamed over its path, and its directory fsynced, so the blobs a
+manifest names are durable before that manifest is.
 """
 
 from __future__ import annotations
@@ -144,6 +152,34 @@ class ObjectPolicy:
         return ObjectPolicy(transform=TRANSFORM_EC, k=k, m=m, client=client)
 
 
+# The JSON type of each field of a v1 manifest record, of each of its
+# placements, and of each transform's parameters.
+_RECORD_FIELDS = {
+    "name": str,
+    "raw_len": int,
+    "transform": dict,
+    "shard_size": int,
+    "padding": int,
+    "generation": int,
+    "placements": list,
+}
+_PLACEMENT_FIELDS = {"osd": int, "key": str, "len": int}
+_TRANSFORM_FIELDS = {
+    TRANSFORM_NONE: {},
+    TRANSFORM_COMPRESS: {"codec_id": int},
+    TRANSFORM_EC: {"k": int, "m": int},
+}
+
+
+def _check_fields(record: object, fields: dict[str, type], what: str) -> None:
+    """Raise StoreError unless `record` is a dict with `fields` of their types."""
+    if not isinstance(record, dict):
+        raise StoreError(f"{what} is not a JSON object")
+    for field, kind in fields.items():
+        if not isinstance(record.get(field), kind):
+            raise StoreError(f"{what} has no {kind.__name__} field {field!r}")
+
+
 @dataclass(frozen=True)
 class Placement:
     osd: int
@@ -180,10 +216,37 @@ class ObjectManifest:
         return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "ObjectManifest":
-        record = json.loads(text)
+    def from_json(cls, text: str | bytes) -> "ObjectManifest":
+        """Parse a v1 record, as `to_json` writes it.
+
+        Raises:
+            StoreError: `text` is not a v1 record; the message says why.
+        """
+        try:
+            record = json.loads(text)
+        except ValueError as exc:  # not JSON, or bytes that are not UTF-8
+            raise StoreError(f"manifest is not JSON: {exc}") from None
+        _check_fields(record, {}, "manifest")
         if record.get("version") != MANIFEST_VERSION:
             raise StoreError(f"unsupported manifest version {record.get('version')}")
+        record.setdefault("generation", 0)  # absent from the oldest records
+        _check_fields(record, _RECORD_FIELDS, "manifest")
+        for placement in record["placements"]:
+            _check_fields(placement, _PLACEMENT_FIELDS, "manifest placement")
+        transform = record["transform"]
+        params = _TRANSFORM_FIELDS.get(transform.get("kind"))
+        if params is None or set(transform) != {"kind", *params}:
+            raise StoreError(f"manifest transform {transform} is not one put writes")
+        _check_fields(transform, params, "manifest transform")
+        try:
+            ObjectPolicy(transform["kind"], **{p: transform[p] for p in params})
+        except ValueError as exc:
+            raise StoreError(f"manifest transform: {exc}") from None
+        if transform["kind"] != TRANSFORM_COMPRESS:
+            # `get` cuts the joined data blobs to raw_len.
+            held = sum(p["len"] for p in record["placements"][: transform.get("k", 1)])
+            if held != record["raw_len"] + record["padding"]:
+                raise StoreError("manifest raw_len and padding disagree with its blobs")
         return cls(
             name=record["name"],
             raw_len=record["raw_len"],
@@ -193,7 +256,7 @@ class ObjectManifest:
             ),
             shard_size=record["shard_size"],
             padding=record["padding"],
-            generation=record.get("generation", 0),
+            generation=record["generation"],
         )
 
 
@@ -359,7 +422,10 @@ class ObjectStore:
         if self._root is not None:
             path = self._manifest_path(name)
             if path.exists():
-                return ObjectManifest.from_json(path.read_text())
+                try:
+                    return ObjectManifest.from_json(path.read_bytes())
+                except StoreError as exc:
+                    raise StoreError(f"{path}: {exc}") from None
         raise NotFound(f"no object named {name!r}")
 
     def _commit(
@@ -415,7 +481,8 @@ class ObjectStore:
             StoreError: The transform answered output of the wrong
                 shape: EC output that is not k+m shards, or a block whose
                 header declares other than the object's length.  Nothing
-                is written.
+                is written.  Also raised, before the transform call, when
+                the name's manifest file is not a v1 record.
             NotFound: A target OSD went down during the put.
             OSError: A disk-backed blob or manifest write failed.
         """
@@ -517,21 +584,28 @@ class ObjectStore:
         return lambda: complete(instance.await_result())
 
     def get(self, name: str, client: Client | None = None) -> bytes:
-        """Read an object back, reversing its transform.
+        """Read an object back, calling a function only to undo a transform.
 
         Reads the manifest's blobs in index order until k are in hand
-        (k = 1 unless EC), skipping any whose OSD is down or lost it.  If
-        fewer than k are readable and a put has committed a new manifest
-        since the lookup, reads that manifest's blobs instead, once.
+        (k = 1 unless EC), skipping any whose OSD is down or lost it, or
+        whose length is not the one the manifest records.  If fewer than
+        k are readable and a put has committed a new manifest since the
+        lookup, reads that manifest's blobs instead, once.
+
+        A compressed object is decompressed by a DECOMPRESS call.  An EC
+        object with a data blob skipped is rebuilt by one EC_DECODE
+        call.  Any other object, a `none` object or an EC object whose k
+        data blobs were all read, is those blobs joined: no call.
 
         Args:
             name: Object name from a previous put.
             client: Optional remote client to run the reverse transform
-                on; defaults to in-process execution (the bytes are
-                identical either way).
+                on, when there is one to run; defaults to in-process
+                execution (the bytes are identical either way).
 
         Raises:
             NotFound: Unknown name.
+            StoreError: The name's manifest file is not a v1 record.
             Unrecoverable: Fewer than k blobs readable.  It subclasses
                 NotFound, so a none or compress object whose one holder
                 is down or lost the blob raises NotFound.
@@ -550,25 +624,32 @@ class ObjectStore:
         k = transform.get("k", 1)
         if len(blobs) < k:
             raise Unrecoverable(f"{name!r}: {len(blobs)} blobs readable, need {k}")
-        if transform["kind"] == TRANSFORM_EC:
-            params = EcDecodeParams(k, transform["m"], manifest.shard_size, present)
-            padded = client.call(FunctionId.EC_DECODE, params, b"".join(blobs))
-            return padded[: manifest.raw_len]
         if transform["kind"] == TRANSFORM_COMPRESS:
             params = DecompressParams(transform["codec_id"])
             return client.call(FunctionId.DECOMPRESS, params, blobs[0])
-        return blobs[0]
+        # Blobs are read in index order, so the data blobs are all in
+        # hand exactly when `present` is blobs 0 to k-1.
+        if present != (1 << k) - 1:
+            params = EcDecodeParams(k, transform["m"], manifest.shard_size, present)
+            blobs = [client.call(FunctionId.EC_DECODE, params, b"".join(blobs))]
+        return b"".join(blobs)[: manifest.raw_len]
 
     def _read_blobs(self, manifest: ObjectManifest) -> tuple[list[bytes], int]:
-        """The first k readable blobs of `manifest`, and a bitmap of their indices."""
+        """The first k readable blobs of `manifest`, and a bitmap of their indices.
+
+        A blob of another length than its placement records is skipped.
+        """
         k = manifest.transform.get("k", 1)
         blobs: list[bytes] = []
         present = 0
         for i, placement in enumerate(manifest.placements):
             try:
-                blobs.append(self._osd(placement.osd).read(placement.key))
+                blob = self._osd(placement.osd).read(placement.key)
             except NotFound:
                 continue
+            if len(blob) != placement.length:
+                continue
+            blobs.append(blob)
             present |= 1 << i
             if len(blobs) == k:
                 break  # any k blobs suffice

@@ -38,6 +38,7 @@ import logging
 import signal
 import socket
 import socketserver
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -357,11 +358,15 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
+    try:
+        server = Server(config, registry)
+    except OSError as exc:  # the port is taken, or the host is not local
+        print(f"error: cannot listen on {host}:{port}: {exc}", file=sys.stderr)
+        return 1
     logging.basicConfig(
         level=logging.INFO,
         format="%(asctime)s %(levelname)s %(name)s: %(message)s",
     )
-    server = Server(config, registry)
     server.start()
     stop = threading.Event()
     signal.signal(signal.SIGINT, lambda *_: stop.set())

@@ -651,6 +651,17 @@ def test_cli_rejects_bad_spec(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_checks_its_out_path_before_the_first_run(tmp_path, capsys, monkeypatch):
+    def run(spec):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(bench, "run", run)
+    out = tmp_path / "nonexistent" / "r.json"
+    assert bench.main(["--ops", "20", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write --out") and str(out) in err
+
+
 def test_cli_offers_no_stored_codec(capsys):
     # compress refuses the stored form, so every put would fail.
     with pytest.raises(SystemExit) as exited:

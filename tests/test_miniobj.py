@@ -221,9 +221,76 @@ def test_every_call_sends_its_functions_params_type():
         ):
             store.put(name, bytes(5000), policy)
             assert store.get(name, client) == bytes(5000)
+        # A healthy EC get makes no call; one with a data blob lost decodes.
+        store.kill_osd(store.manifest("coded").placements[0].osd)
+        assert store.get("coded", client) == bytes(5000)
     assert sorted({function_id for function_id, _ in calls}) == [1, 2, 3, 4]
     for function_id, params_type in calls:
         assert params_type is protocol.PARAMS_LAYOUTS[function_id][0]
+
+
+def counting(registry, requests):
+    """`registry` with each handler appending its function id to `requests`."""
+
+    def wrap(function_id, handler):
+        def counted(params, payload):
+            requests.append(function_id)
+            return handler(params, payload)
+
+        return counted
+
+    return {function_id: wrap(function_id, h) for function_id, h in registry.items()}
+
+
+def test_a_get_sends_ec_decode_only_when_a_data_blob_is_lost():
+    data = random.Random(17).randbytes(65536)
+    requests = []
+    with Server(ServerConfig(), counting(default_registry(), requests)) as server:
+        with Client(ClientConfig(mode="remote", address=server.address)) as remote:
+            store = ObjectStore(osd_count=6)
+            manifest = store.put("obj", data, ObjectPolicy.ec(4, 2, remote))
+            assert requests == [FunctionId.EC_ENCODE]
+            osds = [p.osd for p in manifest.placements]
+            for lost, sent in [
+                (None, []),
+                (osds[4], []),
+                (osds[5], []),
+                (osds[0], [FunctionId.EC_DECODE]),
+                (osds[3], [FunctionId.EC_DECODE]),
+            ]:
+                requests.clear()
+                if lost is not None:
+                    store.kill_osd(lost)
+                assert store.get("obj", remote) == data
+                assert requests == sent, lost
+                if lost is not None:
+                    store.revive_osd(lost)
+
+
+def blob_path(root, placement):
+    key = urllib.parse.quote(placement.key, safe="")
+    return root / f"osd-{placement.osd:03d}" / key
+
+
+@pytest.mark.parametrize(
+    "change", [lambda b: b[:-1], lambda b: b + b"\x00"], ids=["truncated", "grown"]
+)
+def test_a_blob_of_the_wrong_length_counts_as_lost(tmp_path, change):
+    store = ObjectStore(osd_count=6, root=tmp_path)
+    data = random.Random(19).randbytes(65536)
+    # An EC object rebuilds its data blob 0 from parity.
+    placement = store.put("coded", data, ObjectPolicy.ec(4, 2)).placements[0]
+    path = blob_path(tmp_path, placement)
+    path.write_bytes(change(path.read_bytes()))
+    assert store.get("coded") == data
+    assert ObjectStore(osd_count=6, root=tmp_path).get("coded") == data
+    # An object of one blob has nothing to rebuild it from.
+    for policy in (ObjectPolicy.none(), ObjectPolicy.compress(codec.CODEC_RLE0)):
+        placement = store.put("lone", data, policy).placements[0]
+        path = blob_path(tmp_path, placement)
+        path.write_bytes(change(path.read_bytes()))
+        with pytest.raises(Unrecoverable):
+            store.get("lone")
 
 
 # --- manifests ---------------------------------------------------------------------
@@ -244,6 +311,37 @@ def test_manifest_rejects_unknown_version():
     record["version"] = 99
     with pytest.raises(Exception):
         ObjectManifest.from_json(json.dumps(record))
+
+
+CORRUPT_MANIFESTS = {
+    "truncated": lambda text: '{"trunc',
+    "not-an-object": lambda text: "[1]",
+    "version-only": lambda text: '{"version":1}',
+    "placements-not-a-list": lambda text: json.dumps(
+        json.loads(text) | {"placements": {"osd": 0}}
+    ),
+    "raw-len-short": lambda text: json.dumps(json.loads(text) | {"raw_len": 2}),
+}
+
+
+@pytest.mark.parametrize(
+    "corrupt", CORRUPT_MANIFESTS.values(), ids=list(CORRUPT_MANIFESTS)
+)
+def test_a_corrupt_manifest_is_a_store_error(tmp_path, capsys, corrupt):
+    from msfm.miniobj import main
+
+    root = tmp_path / "store"
+    ObjectStore(root=root).put("a", b"data", ObjectPolicy.none())
+    path = root / "manifests" / "a.json"
+    path.write_text(corrupt(path.read_text()))
+    store = ObjectStore(root=root)
+    with pytest.raises(StoreError, match="a.json"):
+        store.get("a")
+    with pytest.raises(StoreError, match="a.json"):
+        store.put("a", b"new", ObjectPolicy.none())
+    assert len(held_blobs(store)) == 1  # the put wrote nothing
+    assert main(["--root", str(root), "get", "a", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_stats_accumulate():

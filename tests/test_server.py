@@ -1,5 +1,6 @@
 """Dispatch semantics and the TCP server's connection behavior."""
 
+import gc
 import os
 import random
 import select
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -577,6 +579,21 @@ def test_server_cli_rejects_bad_arguments_with_usage(capsys, argv):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: msfm-server") and "error:" in err
+
+
+def test_server_cli_reports_a_port_it_cannot_listen_on(capsys):
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen()
+        port = holder.getsockname()[1]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert server_main(["--listen", f"127.0.0.1:{port}"]) == 1
+            gc.collect()  # a socket left open warns when it is collected
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
+    assert "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_addresses_parse_with_a_default_host():
