@@ -22,13 +22,14 @@ the (crc32(name) + i)-th live OSD, counting modulo the live set in id
 order.  CRC-32 rather than Python's hash() because the latter is
 randomized per process and placement must be reproducible.
 
-Each put takes a generation that no other put of the store uses, so it
-never writes over a blob a manifest names.  The generation is greater
-than the one of the manifest current when the put was planned, so puts
-of one name finished in submit order commit rising generations.  A put
-writes its blobs, commits by replacing the manifest (on disk, then in
-memory, both under the store lock), makes the disk rename durable, and
-only then deletes the blobs of the manifest it replaced.  Hence:
+Each put takes a generation that no other put uses, so it never writes
+over a blob a manifest names.  The generation is greater than the one
+of the manifest current when the put was planned, and greater than any
+generation the store, or for a rooted store the root, handed out
+before, so puts of one name finished in submit order commit rising
+generations.  A put writes its blobs, commits by replacing the manifest
+under the store lock, makes a disk rename durable, and only then deletes
+the blobs of the manifest it replaced.  Hence:
 
 - a put that fails before its commit deletes what it wrote, and the
   previous version stays whole;
@@ -39,7 +40,8 @@ only then deletes the blobs of the manifest it replaced.  Hence:
   wins, whatever the order they were submitted in;
 - after any put that returns, each live OSD holds exactly the blobs
   the current manifests name; an OSD that is down during the put keeps
-  its stale copies;
+  its stale copies, and so does the loser of a commit race between two
+  stores on one root (below);
 - a get that races a put of the same name may find its blobs deleted;
   it then reads the version that put committed, and raises rather than
   return other bytes if a further put deleted those too.
@@ -51,18 +53,28 @@ keys, no whitespace — so equal manifests have equal encodings.
 
 OSD targets hold an in-memory map by default, or a directory of files
 (keys percent-encoded) when the store is rooted on disk; a `.down`
-marker keeps the alive flag persistent for the CLI.  One `ObjectStore`
-owns a root at a time: a store caches the manifests it has read or
-written and the last generation it used, so a second instance on the
-same root reads stale manifests and may reuse generations.  On disk,
-every blob and manifest is written to a temporary file, fsynced,
-renamed over its path, and its directory fsynced, so the blobs a
-manifest names are durable before that manifest is.
+marker keeps the alive flag persistent for the CLI.  On disk, every
+blob and manifest is written to a temporary file, fsynced, renamed over
+its path, and its directory fsynced, so the blobs a manifest names are
+durable before that manifest is.
+
+Any number of stores, in any number of processes, may share a root.  A
+rooted store keeps no copy of it: every lookup reads the manifest file,
+and each put takes its generation from the 8-byte big-endian integer in
+`ROOT/generation`, read and rewritten under an exclusive `flock`.  The
+counter is not fsynced, which would cost every put one more disk
+flush, and it need not be: a crash may roll it back or zero it, but a
+put still takes a generation above its name's committed manifest, so
+its keys can meet only the orphans of a put the crash cut short.  No
+lock spans two stores' commits: of two that race, the loser's blobs
+stay behind as orphans, and every get still returns one whole version
+or raises.
 """
 
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import os
 import sys
@@ -273,10 +285,10 @@ def _replace_file(path: Path, write: Callable[[Path], object]) -> None:
 
     The rename survives a crash once the caller has fsynced `path.parent`.
     If a step fails, the temporary file is removed and `path` keeps its
-    previous contents.  The temporary name carries the thread id, so two
-    threads writing the same path never share one.
+    previous contents.  The temporary name carries the process and thread
+    ids, so two threads or processes writing the same path never share one.
     """
-    tmp = path.with_name(f"{path.name}.{threading.get_ident()}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         write(tmp)
         _fsync(tmp)
@@ -349,10 +361,10 @@ class OsdTarget:
             raise NotFound(f"osd {self.id} is down")
         with self._lock:
             if self._dir is not None:
-                path = self._path(key)
-                if not path.exists():
-                    raise NotFound(f"osd {self.id} has no blob {key!r}")
-                return path.read_bytes()
+                try:  # another process's put may delete the blob at any time
+                    return self._path(key).read_bytes()
+                except FileNotFoundError:
+                    raise NotFound(f"osd {self.id} has no blob {key!r}") from None
             if key not in self._blobs:
                 raise NotFound(f"osd {self.id} has no blob {key!r}")
             return self._blobs[key]
@@ -385,6 +397,7 @@ class ObjectStore:
             OsdTarget(i, self._root / f"osd-{i:03d}" if self._root else None)
             for i in range(osd_count)
         ]
+        # The manifests and last generation of a store without a root.
         self._manifests: dict[str, ObjectManifest] = {}
         self._generation = 0
         self._local = Client(ClientConfig(mode="in-process"))
@@ -415,39 +428,75 @@ class ObjectStore:
         assert self._root is not None
         return self._root / "manifests" / (urllib.parse.quote(name, safe="") + ".json")
 
+    def _current(self, name: str) -> ObjectManifest | None:
+        """The name's current manifest, or None.
+
+        A rooted store parses the manifest file on every call.  Takes no
+        lock, so `_commit` can call it under the store lock, which is not
+        reentrant.
+        """
+        if self._root is None:
+            return self._manifests.get(name)
+        path = self._manifest_path(name)
+        try:
+            return ObjectManifest.from_json(path.read_bytes())
+        except FileNotFoundError:
+            return None
+        except StoreError as exc:
+            raise StoreError(f"{path}: {exc}") from None
+
     def manifest(self, name: str) -> ObjectManifest:
-        with self._lock:
-            if name in self._manifests:
-                return self._manifests[name]
-        if self._root is not None:
-            path = self._manifest_path(name)
-            if path.exists():
-                try:
-                    return ObjectManifest.from_json(path.read_bytes())
-                except StoreError as exc:
-                    raise StoreError(f"{path}: {exc}") from None
-        raise NotFound(f"no object named {name!r}")
+        """The name's current manifest, as the last committed put left it.
 
-    def _commit(
-        self, manifest: ObjectManifest, previous: ObjectManifest | None
-    ) -> ObjectManifest | None:
-        """Make `manifest` current on disk, then in memory.
+        A rooted store reads it from disk, so it sees the commits of every
+        store and process on the root.
 
-        Returns the manifest it replaced: the one in memory, or else
-        `previous`, which the put looked up before it wrote (a store that
-        has not loaded a name finds it only on disk).  A failed disk write
-        leaves the old manifest current in both.  The rename is durable
-        once the caller has fsynced the manifest directory.
+        Raises:
+            NotFound: Unknown name.
+            StoreError: The name's manifest file is not a v1 record.
+        """
+        manifest = self._current(name)
+        if manifest is None:
+            raise NotFound(f"no object named {name!r}")
+        return manifest
+
+    def _next_generation(self, floor: int) -> int:
+        """A generation above `floor` and above every one handed out before.
+
+        A rooted store counts in `ROOT/generation`, so every store and
+        process on the root draws from one counter.
+        """
+        if self._root is None:
+            with self._lock:
+                self._generation = max(self._generation, floor) + 1
+                return self._generation
+        fd = os.open(self._root / "generation", os.O_RDWR | os.O_CREAT, 0o644)
+        with open(fd, "r+b") as counter:  # closing it releases the lock
+            fcntl.flock(counter, fcntl.LOCK_EX)
+            # Any bytes read as a count, so a file a crash left short or
+            # zeroed costs nothing: `floor` still bounds the generation.
+            generation = max(int.from_bytes(counter.read(8), "big"), floor) + 1
+            counter.seek(0)
+            counter.write(generation.to_bytes(8, "big"))
+        return generation
+
+    def _commit(self, manifest: ObjectManifest) -> ObjectManifest | None:
+        """Make `manifest` current; return the one it replaced, if any.
+
+        The replaced manifest is the one current at the commit, read under
+        the store lock.  A failed disk write leaves it current.  The rename
+        is durable once the caller has fsynced the manifest directory.
         """
         with self._lock:
-            if self._root is not None:
+            replaced = self._current(manifest.name)
+            if self._root is None:
+                self._manifests[manifest.name] = manifest
+            else:
                 text = manifest.to_json()
                 _replace_file(
                     self._manifest_path(manifest.name),
                     lambda tmp: tmp.write_text(text),
                 )
-            replaced = self._manifests.get(manifest.name, previous)
-            self._manifests[manifest.name] = manifest
         return replaced
 
     def _discard(self, placements: Iterable[Placement]) -> None:
@@ -466,9 +515,10 @@ class ObjectStore:
         This is `submit_put` with its finisher called at once.
 
         Plans first: the n target OSDs (one blob, or k+m for EC) and a
-        fresh generation g.  Then runs the transform, writes blob i under
-        `name/g/i`, commits the new manifest, and deletes the blobs of
-        the manifest it replaced, except on OSDs that are down.  If any
+        generation g that no other put has taken, from the root's counter
+        when the store is rooted.  Then runs the transform, writes blob i
+        under `name/g/i`, commits the new manifest, and deletes the blobs
+        of the manifest it replaced, except on OSDs that are down.  If any
         step before the commit fails, the put deletes the blobs it wrote
         and raises, and the previous version stays readable.  If the
         fsync that makes a disk commit durable fails, the put raises
@@ -484,7 +534,8 @@ class ObjectStore:
                 is written.  Also raised, before the transform call, when
                 the name's manifest file is not a v1 record.
             NotFound: A target OSD went down during the put.
-            OSError: A disk-backed blob or manifest write failed.
+            OSError: A disk-backed blob, manifest or generation counter
+                write failed.
         """
         return self.submit_put(name, data, policy)()
 
@@ -498,7 +549,9 @@ class ObjectStore:
         describes, and returns the manifest.  Many puts may be pending on
         one client at once.  Of two pending puts of one name, the last to
         finish wins, even if it was submitted first: its manifest becomes
-        current and the other's blobs are deleted.
+        current and the other's blobs are deleted.  The same holds for
+        puts through other stores on the same root, except that of two
+        commits that race, the loser's blobs stay behind as orphans.
 
         Raises:
             PlacementError: Fewer live OSDs than the object has blobs;
@@ -517,13 +570,8 @@ class ObjectStore:
             )
         offset = zlib.crc32(name.encode("utf-8"))
         targets = [live[(offset + i) % len(live)] for i in range(count)]
-        try:
-            previous = self.manifest(name)
-        except NotFound:
-            previous = None
-        floor = previous.generation if previous else 0
-        with self._lock:
-            self._generation = generation = max(self._generation, floor) + 1
+        previous = self._current(name)
+        generation = self._next_generation(previous.generation if previous else 0)
 
         transform: dict = {"kind": policy.transform}
         shard_size = padding = 0
@@ -560,7 +608,7 @@ class ObjectStore:
             try:
                 for target, placement, blob in zip(targets, placements, blobs):
                     target.write(placement.key, blob)
-                replaced = self._commit(manifest, previous)
+                replaced = self._commit(manifest)
             except BaseException:
                 # No other put uses this generation's keys, so deleting all
                 # of them, written or not, leaves every other version whole.

@@ -1,5 +1,6 @@
 """Object store tests: transforms, placement, fault injection, manifests."""
 
+import fcntl
 import itertools
 import json
 import os
@@ -692,7 +693,7 @@ def test_generation_moves_past_the_stored_manifest(tmp_path):
     assert second.put("x", b"abcd", ObjectPolicy.none()).generation == 4
     assert second.put("y", b"y", ObjectPolicy.none()).generation == 5
     record = json.loads(first.manifest("x").to_json())
-    assert record.pop("generation") == 3
+    assert record.pop("generation") == 4
     assert ObjectManifest.from_json(json.dumps(record)).generation == 0
 
 
@@ -902,3 +903,221 @@ def test_a_transform_output_of_the_wrong_shape_is_never_stored(registry, policy,
                 store.put("obj", data, policy(client))
     assert held_blobs(store) == before
     assert store.get("obj") == b"first version"
+
+
+# --- stores and processes sharing a root ------------------------------------------
+
+
+def forked(work):
+    """Run `work()` in a forked child; return a function that reaps it.
+
+    The reaper returns what the child raised, as text, or "" if `work`
+    returned.  The child leaves by os._exit, so it runs none of the
+    parent's exit handlers.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(read_fd)
+        try:
+            work()
+        except BaseException as exc:
+            os.write(write_fd, repr(exc).encode())
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+
+    def reap():
+        with open(read_fd, "rb") as pipe:
+            error = pipe.read().decode()
+        _, status = os.waitpid(pid, 0)
+        return error or (f"exit status {status}" if status else "")
+
+    return reap
+
+
+def test_a_failed_put_keeps_what_another_store_committed(tmp_path, monkeypatch):
+    a = ObjectStore(osd_count=6, root=tmp_path)
+    b = ObjectStore(osd_count=6, root=tmp_path)
+    a.put("x", b"first version", ObjectPolicy.none())
+    b.put("x", b"second version", ObjectPolicy.none())
+
+    def failing_write(osd, key, data):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(OsdTarget, "write", failing_write)
+    with pytest.raises(OSError):
+        a.put("x", b"third version", ObjectPolicy.none())
+    monkeypatch.undo()
+    for view in (a, b, ObjectStore(osd_count=6, root=tmp_path)):
+        assert view.get("x") == b"second version"
+        assert held_blobs(view) == named_blobs(view, ["x"])
+
+
+def test_two_stores_on_one_root_never_mix_two_puts(tmp_path, monkeypatch):
+    # Store b's put writes blobs 0 and 1, then store a puts and commits
+    # the same name, then b writes blobs 2-5 and commits last.
+    a = ObjectStore(osd_count=6, root=tmp_path)
+    b = ObjectStore(osd_count=6, root=tmp_path)
+    a.put("x", random.Random(112).randbytes(65536), ObjectPolicy.ec(4, 2))
+    new_a = random.Random(113).randbytes(65536)
+    new_b = random.Random(114).randbytes(65536)
+    write = OsdTarget.write
+    raced = []
+
+    def write_then_put_through_a(osd, key, data):
+        write(osd, key, data)
+        if key.endswith("/1") and not raced:
+            raced.append(key)
+            a.put("x", new_a, ObjectPolicy.ec(4, 2))
+
+    monkeypatch.setattr(OsdTarget, "write", write_then_put_through_a)
+    b.put("x", new_b, ObjectPolicy.ec(4, 2))
+    monkeypatch.undo()
+    assert raced
+    for view in (a, b, ObjectStore(osd_count=6, root=tmp_path)):
+        assert view.get("x") == new_b
+        assert held_blobs(view) == named_blobs(view, ["x"])
+
+
+def test_a_get_reads_the_version_another_stores_put_committed(tmp_path, monkeypatch):
+    # The other store's put deletes the blob this get is about to read.
+    reader = ObjectStore(osd_count=6, root=tmp_path)
+    writer = ObjectStore(osd_count=6, root=tmp_path)
+    writer.put("x", b"old version", ObjectPolicy.none())
+    read_bytes = Path.read_bytes
+    raced = []
+
+    def put_then_read(path):
+        if path.parent.name.startswith("osd-") and not raced:
+            raced.append(path)
+            writer.put("x", b"new version", ObjectPolicy.none())
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", put_then_read)
+    assert reader.get("x") == b"new version"
+    assert raced
+
+
+def test_two_stores_on_one_root_read_only_whole_versions(tmp_path):
+    stores = {thread: ObjectStore(osd_count=6, root=tmp_path) for thread in (1, 2)}
+    rounds = 60
+    start = threading.Barrier(2)
+    errors = []
+    versions = {
+        (thread, i): random.Random(thread * 1000 + i).randbytes(4000)
+        for thread in (1, 2)
+        for i in range(rounds)
+    }
+    known = set(versions.values())
+
+    def writer(thread):
+        try:
+            start.wait()
+            for i in range(rounds):
+                stores[thread].put("shared", versions[thread, i], ObjectPolicy.ec(4, 2))
+                for store in stores.values():
+                    try:
+                        data = store.get("shared")
+                    except StoreError:
+                        continue
+                    if data not in known:
+                        errors.append(f"thread {thread} round {i}: mixed read")
+        except BaseException as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=writer, args=(t,)) for t in (1, 2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+    last = (versions[1, rounds - 1], versions[2, rounds - 1])
+    assert ObjectStore(osd_count=6, root=tmp_path).get("shared") in last
+
+
+def test_a_put_draws_its_generation_under_the_counter_lock(tmp_path):
+    store = ObjectStore(osd_count=6, root=tmp_path)
+    put = threading.Thread(target=store.put, args=("x", b"data", ObjectPolicy.none()))
+    with open(tmp_path / "generation", "a+b") as counter:
+        fcntl.flock(counter, fcntl.LOCK_EX)
+        put.start()
+        put.join(0.2)
+        assert put.is_alive()  # waiting for the lock
+    put.join(10)
+    assert store.manifest("x").generation == 1
+
+
+@pytest.mark.parametrize(
+    "counter", [b"", bytes(8), b"\x00\x01"], ids=["empty", "zeroed", "short"]
+)
+def test_a_counter_a_crash_left_behind_still_gives_fresh_generations(tmp_path, counter):
+    # The counter is not fsynced, so a crash may leave it short, zeroed or
+    # rolled back.  The name's committed manifest still bounds each put.
+    store = ObjectStore(osd_count=6, root=tmp_path)
+    for data in (b"first", b"second", b"third"):
+        store.put("x", data, ObjectPolicy.none())
+    (tmp_path / "generation").write_bytes(counter)
+    assert store.put("x", b"fourth", ObjectPolicy.none()).generation == 4
+    assert store.get("x") == b"fourth"
+    assert held_blobs(store) == named_blobs(store, ["x"])
+
+
+def test_two_processes_replacing_one_path_use_two_temporary_files(tmp_path):
+    # A forked child keeps its parent's thread id.  Each side fills its
+    # temporary file, signals, and waits for the other's signal, so both
+    # temporary files exist before either side renames its own.
+    path = tmp_path / "obj.json"
+    to_parent_r, to_parent_w = os.pipe()
+    to_child_r, to_child_w = os.pipe()
+
+    def replace(data, signal, wait):
+        def fill(tmp):
+            tmp.write_bytes(data)
+            os.write(signal, b".")
+            os.read(wait, 1)  # b"" once the other side has closed its end
+
+        miniobj._replace_file(path, fill)
+
+    def child():
+        os.close(to_child_w)
+        replace(b"child", to_parent_w, to_child_r)
+
+    reap = forked(child)
+    os.close(to_parent_w)
+    try:
+        replace(b"parent", to_child_w, to_parent_r)
+    finally:
+        os.close(to_child_w)
+        error = reap()
+        os.close(to_parent_r)
+        os.close(to_child_r)
+    assert error == ""
+    assert path.read_bytes() in (b"child", b"parent")
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_two_processes_putting_one_name_lose_no_put(tmp_path):
+    # Each put runs on a fresh store, as each msfm-obj command does.
+    rounds = 100
+    versions = {
+        (side, i): random.Random(side * 1000 + i).randbytes(4000)
+        for side in (1, 2)
+        for i in range(rounds)
+    }
+
+    def writer(side):
+        for i in range(rounds):
+            store = ObjectStore(osd_count=6, root=tmp_path)
+            store.put("x", versions[side, i], ObjectPolicy.ec(4, 2))
+
+    reapers = [forked(lambda side=side: writer(side)) for side in (1, 2)]
+    assert [reap() for reap in reapers] == ["", ""]
+    last = (versions[1, rounds - 1], versions[2, rounds - 1])
+    assert ObjectStore(osd_count=6, root=tmp_path).get("x") in last
+    assert list(tmp_path.rglob("*.tmp")) == []
